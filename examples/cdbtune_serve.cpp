@@ -2,18 +2,18 @@
 // deployment (Section 2.1, Figure 2) as a daemon.
 //
 //   $ ./cdbtune_serve                 # in-process demo: 8 concurrent sessions
-//   $ ./cdbtune_serve --listen NAME [--checkpoint PATH] [--restore]
+//   $ ./cdbtune_serve --listen HOST:PORT [--checkpoint PATH] [--restore]
 //                     [--autosave N] [--safety on|off] [--safety-margin F]
 //                     [--safety-k N] [--safety-tr F] [--safety-drift F]
-//                     [--tcp HOST:PORT] [--max-conns N] [--sendq-bytes N]
-//                                     # daemon on abstract AF_UNIX socket NAME
-//                                     # (--tcp adds the epoll binary front end
-//                                     #  on HOST:PORT; both serve one verb
-//                                     #  table and one session registry)
-//   $ ./cdbtune_serve --send NAME 'OPEN engine=sim' 'STEP id=0' ...
+//                     [--max-conns N] [--sendq-bytes N]
+//                                     # daemon on the epoll/TCP front end
+//                                     # (port 0 picks an ephemeral port; the
+//                                     #  "listening on tcp" line reports it)
+//   $ ./cdbtune_serve --send HOST:PORT 'OPEN engine=sim' 'STEP id=0' ...
 //                                     # one-shot client: send lines, print replies
-//   $ ./cdbtune_serve --send-tcp HOST:PORT 'PING' ...
-//                                     # same, over the TCP binary framing
+//
+// Every flag value is parsed in full and range-checked; a malformed one
+// exits with status 2 before any work starts.
 //
 // With --checkpoint the daemon autosaves its full state (model, pool, every
 // open session) every N rounds (default 1); --restore rebuilds the server
@@ -32,19 +32,20 @@
 // exercises REBUILD: a reshaped agent warm-started from the server's
 // experience pool must out-tune the same architecture starting cold.
 #include <algorithm>
-#include <chrono>
+#include <charconv>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "engine/mini_cdb.h"
 #include "env/simulated_cdb.h"
 #include "server/dispatch.h"
-#include "server/io/socket_server.h"
 #include "server/net/frame_client.h"
 #include "server/net/tcp_server.h"
 #include "server/tuning_server.h"
@@ -323,26 +324,36 @@ int RunDemo() {
   return ok ? 0 : 1;
 }
 
-/// Splits "HOST:PORT" (IPv4 dotted quad + decimal port). Returns false on a
-/// missing colon or an out-of-range port.
-bool ParseHostPort(const std::string& spec, std::string* host,
-                   uint16_t* port) {
-  size_t colon = spec.rfind(':');
-  if (colon == std::string::npos || colon == 0) return false;
-  long parsed = std::atol(spec.c_str() + colon + 1);
-  if (parsed < 0 || parsed > 65535) return false;
-  *host = spec.substr(0, colon);
-  *port = static_cast<uint16_t>(parsed);
+/// Parses all of `text` as a number in [lo, hi]. Unlike atoi/atof it
+/// rejects empty input, trailing junk, overflow and out-of-range values.
+template <typename T>
+bool ParseNumber(const char* text, T lo, T hi, T* out) {
+  const char* end = text + std::strlen(text);
+  T value{};
+  auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end || !(value >= lo && value <= hi)) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
+/// Splits "HOST:PORT" (IPv4 dotted quad + decimal port; 0 = ephemeral).
+bool ParseHostPort(const char* spec, std::string* host, uint16_t* port) {
+  const char* colon = std::strrchr(spec, ':');
+  if (colon == nullptr || colon == spec) return false;
+  if (!ParseNumber<uint16_t>(colon + 1, 0, 65535, port)) return false;
+  host->assign(spec, colon);
   return true;
 }
 
 struct ListenFlags {
-  std::string socket_name;
+  std::string host;
+  uint16_t port = 0;
   std::string checkpoint;
   bool restore = false;
+  /// Autosave every N completed rounds; 0 never autosaves.
   int autosave_rounds = 1;
-  /// Optional epoll/TCP binary front end ("HOST:PORT"; empty = off).
-  std::string tcp;
   size_t max_conns = 256;
   size_t sendq_bytes = 256 * 1024;
   /// Server-wide guardrail defaults (DESIGN.md §12); sessions can still
@@ -353,6 +364,59 @@ struct ListenFlags {
   double safety_tr = -1.0;
   double safety_drift = -1.0;
 };
+
+/// Parses the flags after `--listen HOST:PORT`. Returns false (after
+/// printing why) on an unknown flag or a malformed value.
+bool ParseListenFlags(int argc, char** argv, ListenFlags* flags) {
+  if (!ParseHostPort(argv[2], &flags->host, &flags->port)) {
+    std::fprintf(stderr, "--listen wants HOST:PORT, got '%s'\n", argv[2]);
+    return false;
+  }
+  constexpr double kPositive = std::numeric_limits<double>::denorm_min();
+  constexpr double kHuge = std::numeric_limits<double>::max();
+  for (int i = 3; i < argc; ++i) {
+    const std::string flag = argv[i];
+    if (flag == "--restore") {
+      flags->restore = true;
+      continue;
+    }
+    if (i + 1 >= argc) {
+      std::fprintf(stderr, "--listen flag '%s' is unknown or lacks a value\n",
+                   argv[i]);
+      return false;
+    }
+    const char* value = argv[++i];
+    bool ok = true;
+    if (flag == "--checkpoint") {
+      flags->checkpoint = value;
+    } else if (flag == "--autosave") {
+      ok = ParseNumber(value, 0, INT_MAX, &flags->autosave_rounds);
+    } else if (flag == "--safety") {
+      ok = std::strcmp(value, "on") == 0 || std::strcmp(value, "off") == 0;
+      flags->safety = std::strcmp(value, "on") == 0;
+    } else if (flag == "--safety-margin") {
+      ok = ParseNumber(value, 0.0, 1.0, &flags->safety_margin);
+    } else if (flag == "--safety-k") {
+      ok = ParseNumber(value, 1, INT_MAX, &flags->safety_k);
+    } else if (flag == "--safety-tr") {
+      ok = ParseNumber(value, kPositive, 1.0, &flags->safety_tr);
+    } else if (flag == "--safety-drift") {
+      ok = ParseNumber(value, kPositive, kHuge, &flags->safety_drift);
+    } else if (flag == "--max-conns") {
+      ok = ParseNumber<size_t>(value, 1, SIZE_MAX, &flags->max_conns);
+    } else if (flag == "--sendq-bytes") {
+      ok = ParseNumber<size_t>(value, 1, SIZE_MAX, &flags->sendq_bytes);
+    } else {
+      std::fprintf(stderr, "unknown --listen flag '%s'\n", argv[i - 1]);
+      return false;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "bad value '%s' for %s\n", value, flag.c_str());
+      return false;
+    }
+  }
+  return true;
+}
 
 int RunListen(const ListenFlags& flags) {
   server::TuningServerOptions server_options;
@@ -406,68 +470,39 @@ int RunListen(const ListenFlags& flags) {
       return 1;
     }
   }
-  // One dispatcher, N transports: the AF_UNIX text listener and (with
-  // --tcp) the epoll binary listener route every decoded request through
-  // the same verb table, and STATUS scrapes both front ends' telemetry.
+  // The epoll reactor decodes frames and hands each request to the one
+  // dispatcher; STATUS scrapes the front end's telemetry through it.
   server::Dispatcher dispatcher(&srv);
-  server::io::SocketServerOptions socket_options;
-  socket_options.socket_name = flags.socket_name;
-  server::io::SocketServer front(&dispatcher, socket_options);
+  server::net::TcpServerOptions tcp_options;
+  tcp_options.host = flags.host;
+  tcp_options.port = flags.port;
+  tcp_options.max_connections = flags.max_conns;
+  tcp_options.sendq_bytes = flags.sendq_bytes;
+  server::net::TcpServer front(&dispatcher, tcp_options);
   dispatcher.RegisterTransport(&front);
-
-  std::unique_ptr<server::net::TcpServer> tcp_front;
-  if (!flags.tcp.empty()) {
-    server::net::TcpServerOptions tcp_options;
-    if (!ParseHostPort(flags.tcp, &tcp_options.host, &tcp_options.port)) {
-      std::fprintf(stderr, "--tcp wants HOST:PORT, got '%s'\n",
-                   flags.tcp.c_str());
-      return 2;
-    }
-    tcp_options.max_connections = flags.max_conns;
-    tcp_options.sendq_bytes = flags.sendq_bytes;
-    tcp_front =
-        std::make_unique<server::net::TcpServer>(&dispatcher, tcp_options);
-    dispatcher.RegisterTransport(tcp_front.get());
-  }
 
   auto started = front.Start();
   if (!started.ok()) {
     std::fprintf(stderr, "Start: %s\n", started.ToString().c_str());
     return 1;
   }
-  std::printf("listening on abstract socket @%s (send SHUTDOWN to stop)\n",
-              flags.socket_name.c_str());
-  if (tcp_front != nullptr) {
-    auto tcp_started = tcp_front->Start();
-    if (!tcp_started.ok()) {
-      std::fprintf(stderr, "TCP Start: %s\n", tcp_started.ToString().c_str());
-      front.Stop();
-      return 1;
-    }
-    std::printf("listening on tcp %s:%u (binary framing)\n",
-                flags.tcp.substr(0, flags.tcp.rfind(':')).c_str(),
-                tcp_front->port());
-    // Two front ends, either may receive SHUTDOWN: poll both (the waits
-    // are CV-based per front end; a cheap poll keeps the wiring simple).
-    while (!front.shutdown_requested() && !tcp_front->shutdown_requested()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-  } else {
-    front.WaitForShutdown();
-  }
+  // Scripts read the bound port from this line, so push it past stdio's
+  // full buffering when stdout is a file or pipe.
+  std::printf("listening on tcp %s:%u (send SHUTDOWN to stop)\n",
+              flags.host.c_str(), front.port());
+  std::fflush(stdout);
+  front.WaitForShutdown();
   srv.DrainAndStop();
   front.Stop();
-  if (tcp_front != nullptr) tcp_front->Stop();
   std::printf("drained and stopped\n");
   return 0;
 }
 
-int RunSendTcp(const std::string& spec, int argc, char** argv, int first) {
+int RunSend(const char* spec, int argc, char** argv, int first) {
   std::string host;
   uint16_t port = 0;
   if (!ParseHostPort(spec, &host, &port)) {
-    std::fprintf(stderr, "--send-tcp wants HOST:PORT, got '%s'\n",
-                 spec.c_str());
+    std::fprintf(stderr, "--send wants HOST:PORT, got '%s'\n", spec);
     return 2;
   }
   server::net::FrameClient client;
@@ -487,86 +522,24 @@ int RunSendTcp(const std::string& spec, int argc, char** argv, int first) {
   return 0;
 }
 
-int RunSend(const std::string& name, int argc, char** argv, int first) {
-  auto conn = server::io::Socket::Connect(name);
-  if (!conn.ok()) {
-    std::fprintf(stderr, "Connect: %s\n", conn.status().ToString().c_str());
-    return 1;
-  }
-  for (int i = first; i < argc; ++i) {
-    auto sent = conn->SendLine(argv[i]);
-    if (!sent.ok()) {
-      std::fprintf(stderr, "SendLine: %s\n", sent.ToString().c_str());
-      return 1;
-    }
-    auto reply = conn->RecvLine();
-    if (!reply.ok()) {
-      std::fprintf(stderr, "RecvLine: %s\n", reply.status().ToString().c_str());
-      return 1;
-    }
-    std::printf("%s\n", reply->c_str());
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc >= 3 && std::strcmp(argv[1], "--listen") == 0) {
     ListenFlags flags;
-    flags.socket_name = argv[2];
-    for (int i = 3; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--checkpoint") == 0 && i + 1 < argc) {
-        flags.checkpoint = argv[++i];
-      } else if (std::strcmp(argv[i], "--restore") == 0) {
-        flags.restore = true;
-      } else if (std::strcmp(argv[i], "--autosave") == 0 && i + 1 < argc) {
-        flags.autosave_rounds = std::atoi(argv[++i]);
-      } else if (std::strcmp(argv[i], "--safety") == 0 && i + 1 < argc) {
-        const char* value = argv[++i];
-        if (std::strcmp(value, "on") == 0) {
-          flags.safety = true;
-        } else if (std::strcmp(value, "off") == 0) {
-          flags.safety = false;
-        } else {
-          std::fprintf(stderr, "--safety wants on|off, got '%s'\n", value);
-          return 2;
-        }
-      } else if (std::strcmp(argv[i], "--safety-margin") == 0 && i + 1 < argc) {
-        flags.safety_margin = std::atof(argv[++i]);
-      } else if (std::strcmp(argv[i], "--safety-k") == 0 && i + 1 < argc) {
-        flags.safety_k = std::atoi(argv[++i]);
-      } else if (std::strcmp(argv[i], "--safety-tr") == 0 && i + 1 < argc) {
-        flags.safety_tr = std::atof(argv[++i]);
-      } else if (std::strcmp(argv[i], "--safety-drift") == 0 && i + 1 < argc) {
-        flags.safety_drift = std::atof(argv[++i]);
-      } else if (std::strcmp(argv[i], "--tcp") == 0 && i + 1 < argc) {
-        flags.tcp = argv[++i];
-      } else if (std::strcmp(argv[i], "--max-conns") == 0 && i + 1 < argc) {
-        flags.max_conns = static_cast<size_t>(std::atol(argv[++i]));
-      } else if (std::strcmp(argv[i], "--sendq-bytes") == 0 && i + 1 < argc) {
-        flags.sendq_bytes = static_cast<size_t>(std::atol(argv[++i]));
-      } else {
-        std::fprintf(stderr, "unknown --listen flag '%s'\n", argv[i]);
-        return 2;
-      }
-    }
+    if (!ParseListenFlags(argc, argv, &flags)) return 2;
     return RunListen(flags);
   }
   if (argc >= 4 && std::strcmp(argv[1], "--send") == 0) {
     return RunSend(argv[2], argc, argv, 3);
   }
-  if (argc >= 4 && std::strcmp(argv[1], "--send-tcp") == 0) {
-    return RunSendTcp(argv[2], argc, argv, 3);
-  }
   if (argc > 1) {
     std::fprintf(stderr,
-                 "usage: cdbtune_serve [--listen NAME [--checkpoint PATH] "
+                 "usage: cdbtune_serve [--listen HOST:PORT [--checkpoint PATH] "
                  "[--restore] [--autosave N] [--safety on|off] "
                  "[--safety-margin F] [--safety-k N] [--safety-tr F] "
-                 "[--safety-drift F] [--tcp HOST:PORT] [--max-conns N] "
-                 "[--sendq-bytes N] | "
-                 "--send NAME LINE... | --send-tcp HOST:PORT LINE...]\n");
+                 "[--safety-drift F] [--max-conns N] [--sendq-bytes N] | "
+                 "--send HOST:PORT LINE...]\n");
     return 2;
   }
   return RunDemo();

@@ -35,8 +35,20 @@ MiniCdb::MiniCdb(env::HardwareSpec hardware, MiniCdbOptions options)
   const double table_bytes =
       static_cast<double>(options_.table_rows) * kRecordSize * 1.15;
   scale_ = table_bytes / (options_.reference_data_gb * 1024.0 * 1024.0 * 1024.0);
-  CDBTUNE_CHECK_OK(Rebuild());
-  CDBTUNE_CHECK_OK(BulkLoad());
+  Reset();
+}
+
+util::Status MiniCdb::Restart() {
+  CDBTUNE_RETURN_IF_ERROR(Rebuild());
+  util::Status loaded = BulkLoad();
+  if (!loaded.ok()) {
+    // The redo reservation fit but left no room for the table: the
+    // instance cannot start, which is a crash like any other.
+    ++crash_count_;
+    return util::Status::Crashed("table does not fit beside the redo log: " +
+                                 loaded.message());
+  }
+  return loaded;
 }
 
 util::Status MiniCdb::Rebuild() {
@@ -119,6 +131,9 @@ util::Status MiniCdb::TakeCheckpoint() {
 }
 
 util::Status MiniCdb::SimulateCrashAndRecover(size_t* replayed_out) {
+  if (btree_ == nullptr) {
+    return util::Status::FailedPrecondition("instance is down");
+  }
   // What the journal can give back: records fsynced before the crash.
   std::vector<RedoRecord> records = wal_->RecoverableRecords();
 
@@ -154,32 +169,39 @@ util::Status MiniCdb::ApplyConfig(const knobs::Config& config) {
   }
   knobs::Config previous = config_;
   config_ = registry_.Sanitize(config);
-  util::Status status = Rebuild();
-  if (!status.ok()) {
-    // Crash: the instance restarts on the previous healthy configuration.
-    config_ = std::move(previous);
-    counters_ = env::MetricsSnapshot{};
-    util::Status recover = Rebuild();
-    CDBTUNE_CHECK(recover.ok()) << "recovery rebuild failed: "
-                                << recover.ToString();
-    CDBTUNE_CHECK_OK(BulkLoad());
-    return status;
+  util::Status status = Restart();
+  if (status.ok()) return status;
+  // Crash: the instance restarts on the previous healthy configuration.
+  config_ = std::move(previous);
+  counters_ = env::MetricsSnapshot{};
+  util::Status recover = Restart();
+  if (!recover.ok()) {
+    // That configuration started before, so this needs an engine bug; fail
+    // this instance alone (RunStress reports it down), not the process.
+    btree_.reset();
+    return util::Status::Internal("recovery restart failed: " +
+                                  recover.ToString());
   }
-  return BulkLoad();
+  return status;
 }
 
 void MiniCdb::Reset() {
   config_ = registry_.DefaultConfig();
   counters_ = env::MetricsSnapshot{};
   crash_count_ = 0;
-  CDBTUNE_CHECK_OK(Rebuild());
-  CDBTUNE_CHECK_OK(BulkLoad());
+  // A shape the default config cannot boot on (a disk smaller than the
+  // table, RAM below the default buffers) leaves the instance down:
+  // RunStress reports it, so its owner fails that one tenant.
+  if (!Restart().ok()) btree_.reset();
 }
 
 util::StatusOr<env::StressResult> MiniCdb::RunStress(
     const workload::WorkloadSpec& spec, double duration_s) {
   if (duration_s <= 0.0) {
     return util::Status::InvalidArgument("non-positive stress duration");
+  }
+  if (btree_ == nullptr) {
+    return util::Status::FailedPrecondition("instance is down");
   }
   env::StressResult result;
   result.before = counters_;

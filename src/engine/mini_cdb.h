@@ -65,6 +65,10 @@ class MiniCdb : public env::DbInterface {
   int crash_count() const { return crash_count_; }
 
  private:
+  /// Rebuild() + BulkLoad(): boots the instance on the current config.
+  /// Returns kCrashed when it cannot start (memory overcommit, or a redo
+  /// reservation that leaves no disk for the table).
+  util::Status Restart();
   /// (Re)creates the engine stack from the current config. Returns
   /// kCrashed when the configuration cannot start (log reservation or
   /// memory overcommit).

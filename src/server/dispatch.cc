@@ -165,7 +165,7 @@ std::string HandleStatus(
                            ":" + std::to_string(status.steps_done));
   }
   // Per-transport connection/back-pressure telemetry: one key block per
-  // registered front end, so an operator on either transport sees both.
+  // registered front end.
   for (const TransportStatsSource* source : transports) {
     const TransportStats stats = source->Scrape();
     const std::string& t = stats.name;
@@ -328,14 +328,6 @@ DispatchResult Dispatcher::Dispatch(const std::string& request) const {
         util::Status::NotFound("unknown verb '" + command.verb + "'"));
   }
   return result;
-}
-
-std::string DispatchLine(TuningServer& server, const std::string& line,
-                         bool* shutdown) {
-  Dispatcher dispatcher(&server);
-  DispatchResult result = dispatcher.Dispatch(line);
-  if (shutdown != nullptr && result.shutdown) *shutdown = true;
-  return result.response;
 }
 
 }  // namespace cdbtune::server

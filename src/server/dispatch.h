@@ -9,11 +9,11 @@
 
 namespace cdbtune::server {
 
-/// Point-in-time telemetry of one transport front end (AF_UNIX text or
-/// TCP binary), scraped by the STATUS verb so an operator can see every
-/// transport's connection and back-pressure state through either protocol.
+/// Point-in-time telemetry of one transport front end, scraped by the
+/// STATUS verb so an operator can see the transport's connection and
+/// back-pressure state through the protocol itself.
 struct TransportStats {
-  /// Key prefix in the STATUS response ("unix", "tcp").
+  /// Key prefix in the STATUS response ("tcp").
   std::string name;
   /// Connections currently open (accepted and not yet closed).
   size_t connections = 0;
@@ -28,7 +28,7 @@ struct TransportStats {
   /// Connections dropped for overflowing their bounded send queue (the
   /// slow-consumer / slow-loris shed path).
   uint64_t sendq_drops = 0;
-  /// Frames decoded from / encoded to the wire (0 for the line transport).
+  /// Frames decoded from / encoded to the wire.
   uint64_t frames_in = 0;
   uint64_t frames_out = 0;
 };
@@ -45,18 +45,18 @@ class TransportStatsSource {
 /// Outcome of one dispatched request: the response payload (the "OK ..." /
 /// "ERR ..." grammar of protocol.h) plus whether the request asked the
 /// daemon to shut down — the transport decides what shutting down means
-/// (the front ends unblock WaitForShutdown; an in-process driver just
+/// (the TCP front end unblocks WaitForShutdown; an in-process driver just
 /// stops issuing requests).
 struct DispatchResult {
   std::string response;
   bool shutdown = false;
 };
 
-/// The transport-agnostic command dispatcher: both the AF_UNIX/text and
-/// the TCP/binary front ends hand their decoded request payloads here, so
-/// the verb set, argument grammar, and server semantics exist exactly
-/// once. Thread-safe for concurrent Dispatch once serving starts;
-/// RegisterTransport is wiring-time only (before any front end Start()).
+/// The transport-agnostic command dispatcher: the TCP front end and
+/// in-process drivers hand their decoded request payloads here, so the
+/// verb set, argument grammar, and server semantics exist exactly once.
+/// Thread-safe for concurrent Dispatch once serving starts;
+/// RegisterTransport is wiring-time only (before the front end Start()s).
 ///
 /// Verbs:
 ///   PING
@@ -100,13 +100,6 @@ class Dispatcher {
   TuningServer* server_;  // Not owned.
   std::vector<const TransportStatsSource*> transports_;  // Not owned.
 };
-
-/// Legacy single-call form: executes one request line against `server`
-/// with no transport telemetry, setting `*shutdown` on a SHUTDOWN request.
-/// Thin wrapper over a transient Dispatcher — kept for in-process drivers
-/// and tests.
-std::string DispatchLine(TuningServer& server, const std::string& line,
-                         bool* shutdown);
 
 }  // namespace cdbtune::server
 

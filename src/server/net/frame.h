@@ -19,8 +19,8 @@ namespace cdbtune::server::net {
 ///        5     1  type     FrameType
 ///        6     2  reserved must be zero
 ///        8     4  length   payload bytes, little-endian
-///       12     N  payload  UTF-8 text (the same command / response grammar
-///                          as the AF_UNIX line protocol, without the '\n')
+///       12     N  payload  UTF-8 text (the command / response grammar of
+///                          server/protocol.h, one line without the '\n')
 ///
 /// The header is serialized field-by-field (never memcpy'd from a struct —
 /// the padding-serialize contract), so the format is identical on every
@@ -38,7 +38,7 @@ enum class FrameType : uint8_t {
   kError = 3,
   /// Server -> client: typed back-pressure shed — the dispatch queue (or
   /// connection budget) is full. The request was *not* executed; retry
-  /// later. Replaces the AF_UNIX path's blocking "server busy" notice.
+  /// later.
   kBusy = 4,
 };
 

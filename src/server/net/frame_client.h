@@ -11,11 +11,11 @@
 namespace cdbtune::server::net {
 
 /// Blocking client for the binary TCP front end — the peer-side counterpart
-/// of TcpServer, used by cdbtune_serve's --send-tcp mode, the benchmarks,
-/// and the tests. Deliberately simple: one synchronous request/response at a
+/// of TcpServer, used by cdbtune_serve's --send mode, the benchmarks, and
+/// the tests. Deliberately simple: one synchronous request/response at a
 /// time over a connected socket. (It lives in src/server/net/ because raw
-/// socket syscalls are sanctioned only there and in src/server/io/ — the
-/// blocking-socket lint rule.)
+/// socket syscalls are sanctioned only there — the blocking-socket lint
+/// rule.)
 class FrameClient {
  public:
   FrameClient() = default;

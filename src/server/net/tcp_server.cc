@@ -356,11 +356,6 @@ void TcpServer::WaitForShutdown() {
   while (!shutdown_requested_ && !stopping_) shutdown_cv_.Wait(mu_);
 }
 
-bool TcpServer::shutdown_requested() const {
-  util::MutexLock lock(mu_);
-  return shutdown_requested_;
-}
-
 void TcpServer::Stop() {
   {
     util::MutexLock lock(mu_);

@@ -81,10 +81,6 @@ class TcpServer : public TransportStatsSource {
   /// Blocks until a client requests SHUTDOWN or Stop() is called.
   void WaitForShutdown();
 
-  /// True once a client's SHUTDOWN was dispatched (non-blocking peek, for
-  /// daemons multiplexing several front ends).
-  bool shutdown_requested() const;
-
   /// Idempotent graceful stop: halts the reactor, joins every thread,
   /// closes every connection.
   void Stop();

@@ -22,13 +22,10 @@ namespace cdbtune::util {
 /// with both the offending mutex and the full held list; release builds
 /// compile the checks out entirely (Lock() is exactly std::mutex::lock()).
 namespace lock_rank {
-/// Socket front end (SocketServer::mu_): connection queue + lifecycle. The
-/// outermost lock — socket workers call into the tuning server below it.
-inline constexpr int kIoFrontEnd = 100;
 /// TCP front end (net::TcpServer::mu_): dispatch work queue, lifecycle
-/// flags, transport telemetry. Like kIoFrontEnd it sits above the server
-/// locks (workers pop a request, release, then call into the tuning
-/// server); the two front-end locks are never held together.
+/// flags, transport telemetry. The outermost lock — it sits above the
+/// server locks (workers pop a request, release, then call into the
+/// tuning server).
 inline constexpr int kNetFrontEnd = 110;
 /// net::EventLoop::tasks_mu_: the cross-thread task queue. Held only for
 /// the push/swap — queued tasks always run lock-free on the loop thread —

@@ -566,6 +566,37 @@ TEST(MiniCdbTest, OversizedRedoCrashesAndRecovers) {
   EXPECT_GT(r.value().external.throughput_tps, 0.0);
 }
 
+// Regression: a redo group that reserves its disk space but leaves too
+// little for the table used to half-load the instance and keep the bad
+// config as "previous"; the next crash then recovered onto it, failed the
+// bulk load again, and aborted the whole process (one tenant's STEP took
+// down every tenant of the tuning server).
+TEST(MiniCdbTest, RedoThatStarvesTheTableCrashesAndRecovers) {
+  MiniCdbOptions options;
+  options.table_rows = 5000;
+  MiniCdb db(env::CdbA(), options);  // 100 GB disk.
+  auto& reg = db.registry();
+  const knobs::Config healthy = db.current_config();
+
+  // 12 x 8 GiB of redo fits the disk alone, but not beside the table.
+  knobs::Config starving = healthy;
+  starving[*reg.FindIndex("innodb_log_file_size")] = 8.0 * kGiB;
+  starving[*reg.FindIndex("innodb_log_files_in_group")] = 12;
+  EXPECT_EQ(db.ApplyConfig(starving).code(), util::StatusCode::kCrashed);
+  EXPECT_EQ(db.crash_count(), 1);
+  EXPECT_EQ(db.current_config(), healthy);
+
+  // A later crash must recover onto the healthy config, not the starving.
+  knobs::Config oom = healthy;
+  oom[*reg.FindIndex("innodb_buffer_pool_size")] = 64.0 * kGiB;
+  EXPECT_EQ(db.ApplyConfig(oom).code(), util::StatusCode::kCrashed);
+  EXPECT_EQ(db.crash_count(), 2);
+  EXPECT_EQ(db.current_config(), healthy);
+  auto r = db.RunStress(workload::Tpcc(), 60.0);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_GT(r.value().external.throughput_tps, 0.0);
+}
+
 TEST(WalTest, DurableLsnAdvancesOnlyOnFsync) {
   VirtualClock clock;
   DiskManager disk(&clock, env::DiskType::kSsd, 100 * 1024 * 1024);

@@ -33,7 +33,7 @@ TEST(MutexTest, TryLockReportsContention) {
 }
 
 TEST(MutexTest, AscendingRanksNest) {
-  Mutex outer(lock_rank::kIoFrontEnd, "outer");
+  Mutex outer(lock_rank::kNetFrontEnd, "outer");
   Mutex middle(lock_rank::kServerSessions, "middle");
   Mutex inner(lock_rank::kLogSink, "inner");
   MutexLock a(outer);

@@ -1,17 +1,11 @@
-#include <sys/socket.h>
-#include <sys/time.h>
-
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "persist/atomic_file.h"
 #include "server/dispatch.h"
-#include "server/io/line_socket.h"
-#include "server/io/socket_server.h"
 #include "server/protocol.h"
 #include "server/tuning_server.h"
 #include "env/simulated_cdb.h"
@@ -368,38 +362,44 @@ TEST(TuningServerTest, RecommendServesGreedyActions) {
   EXPECT_EQ(*action, *again) << "greedy inference consumes no rng";
 }
 
-// --- Dispatch + socket front end ---------------------------------------------
+// --- Dispatch ----------------------------------------------------------------
+
+/// Runs one request line through a transient Dispatcher (no transports
+/// registered) and returns the response payload.
+std::string Dispatch(TuningServer& server, const std::string& line) {
+  return Dispatcher(&server).Dispatch(line).response;
+}
 
 TEST(DispatchTest, BasicVerbs) {
   TuningServer server;
   ASSERT_TRUE(server.AdoptModel(SharedTrainedTuner()).ok());
-  bool shutdown = false;
-  EXPECT_EQ(DispatchLine(server, "PING", &shutdown), "OK pong=1");
-  EXPECT_EQ(DispatchLine(server, "STATUS", &shutdown), "OK sessions=0");
-  EXPECT_EQ(DispatchLine(server, "NOSUCH", &shutdown).rfind("ERR", 0), 0u);
-  EXPECT_EQ(DispatchLine(server, "STEP id=0", &shutdown).rfind("ERR", 0), 0u);
-  EXPECT_FALSE(shutdown);
-  EXPECT_EQ(DispatchLine(server, "SHUTDOWN", &shutdown), "OK bye=1");
-  EXPECT_TRUE(shutdown);
+  Dispatcher dispatcher(&server);
+  DispatchResult pong = dispatcher.Dispatch("PING");
+  EXPECT_EQ(pong.response, "OK pong=1");
+  EXPECT_FALSE(pong.shutdown);
+  EXPECT_EQ(Dispatch(server, "STATUS"), "OK sessions=0");
+  EXPECT_EQ(Dispatch(server, "NOSUCH").rfind("ERR", 0), 0u);
+  EXPECT_EQ(Dispatch(server, "STEP id=0").rfind("ERR", 0), 0u);
+  DispatchResult bye = dispatcher.Dispatch("SHUTDOWN");
+  EXPECT_EQ(bye.response, "OK bye=1");
+  EXPECT_TRUE(bye.shutdown);
 }
 
 TEST(DispatchTest, FullSessionLifecycle) {
   TuningServer server;
   ASSERT_TRUE(server.AdoptModel(SharedTrainedTuner()).ok());
-  bool shutdown = false;
-  std::string opened = DispatchLine(
-      server, "OPEN engine=sim workload=sysbench_rw seed=42 steps=2",
-      &shutdown);
+  std::string opened = Dispatch(
+      server, "OPEN engine=sim workload=sysbench_rw seed=42 steps=2");
   ASSERT_EQ(opened.rfind("OK id=0", 0), 0u) << opened;
-  std::string stepped = DispatchLine(server, "STEP id=0 n=2", &shutdown);
+  std::string stepped = Dispatch(server, "STEP id=0 n=2");
   EXPECT_EQ(stepped.rfind("OK id=0 step=2", 0), 0u) << stepped;
-  std::string status = DispatchLine(server, "STATUS id=0", &shutdown);
+  std::string status = Dispatch(server, "STATUS id=0");
   EXPECT_NE(status.find("phase=FINISHED"), std::string::npos) << status;
-  std::string config = DispatchLine(server, "BEST_CONFIG id=0", &shutdown);
+  std::string config = Dispatch(server, "BEST_CONFIG id=0");
   EXPECT_EQ(config.rfind("OK id=0 config=", 0), 0u) << config;
-  std::string closed = DispatchLine(server, "CLOSE id=0", &shutdown);
+  std::string closed = Dispatch(server, "CLOSE id=0");
   EXPECT_EQ(closed.rfind("OK id=0 steps=2", 0), 0u) << closed;
-  EXPECT_EQ(DispatchLine(server, "STATUS", &shutdown), "OK sessions=0");
+  EXPECT_EQ(Dispatch(server, "STATUS"), "OK sessions=0");
 }
 
 TEST(DispatchTest, StatusReportsSafetyState) {
@@ -409,17 +409,14 @@ TEST(DispatchTest, StatusReportsSafetyState) {
   options.safety.rollback_after = 2;
   TuningServer server(options);
   ASSERT_TRUE(server.AdoptModel(SharedTrainedTuner()).ok());
-  bool shutdown = false;
 
   // safety=1 turns the guardrail on for this tenant; the degrade knobs
   // inject a mid-tune regression into its simulated instance.
-  std::string opened = DispatchLine(
-      server,
-      "OPEN engine=sim workload=sysbench_rw seed=61 steps=5 safety=1 "
-      "degrade=innodb_buffer_pool_size degrade_after=1 degrade_sev=0.9",
-      &shutdown);
+  std::string opened = Dispatch(
+      server, "OPEN engine=sim workload=sysbench_rw seed=61 steps=5 safety=1 "
+      "degrade=innodb_buffer_pool_size degrade_after=1 degrade_sev=0.9");
   ASSERT_EQ(opened.rfind("OK id=0", 0), 0u) << opened;
-  std::string status = DispatchLine(server, "STATUS id=0", &shutdown);
+  std::string status = Dispatch(server, "STATUS id=0");
   EXPECT_NE(status.find("safety=1"), std::string::npos) << status;
   EXPECT_NE(status.find("base_tps="), std::string::npos) << status;
   EXPECT_NE(status.find("tr_width="), std::string::npos) << status;
@@ -427,104 +424,40 @@ TEST(DispatchTest, StatusReportsSafetyState) {
 
   // Two degraded steps reach K consecutive violations: the guardrail rolls
   // the tenant back and STATUS shows it parked on last-known-good.
-  ASSERT_EQ(DispatchLine(server, "STEP id=0 n=2", &shutdown).rfind("OK", 0),
-            0u);
-  status = DispatchLine(server, "STATUS id=0", &shutdown);
+  ASSERT_EQ(Dispatch(server, "STEP id=0 n=2").rfind("OK", 0), 0u);
+  status = Dispatch(server, "STATUS id=0");
   EXPECT_NE(status.find("viol=2"), std::string::npos) << status;
   EXPECT_NE(status.find("rollbacks=1"), std::string::npos) << status;
   EXPECT_NE(status.find("on_lkg=1"), std::string::npos) << status;
 
   // An unguarded tenant reports safety=0 and no guardrail telemetry.
-  opened = DispatchLine(
-      server, "OPEN engine=sim workload=sysbench_rw seed=62 safety=0",
-      &shutdown);
+  opened = Dispatch(
+      server, "OPEN engine=sim workload=sysbench_rw seed=62 safety=0");
   ASSERT_EQ(opened.rfind("OK id=1", 0), 0u) << opened;
-  status = DispatchLine(server, "STATUS id=1", &shutdown);
+  status = Dispatch(server, "STATUS id=1");
   EXPECT_NE(status.find("safety=0"), std::string::npos) << status;
   EXPECT_EQ(status.find("base_tps="), std::string::npos) << status;
 
-  EXPECT_EQ(DispatchLine(server, "OPEN engine=sim safety=2", &shutdown)
-                .rfind("ERR", 0),
-            0u);
+  EXPECT_EQ(Dispatch(server, "OPEN engine=sim safety=2").rfind("ERR", 0), 0u);
   EXPECT_EQ(
-      DispatchLine(server, "OPEN engine=sim degrade=nosuch_knob degrade_sev=0.5",
-                   &shutdown)
+      Dispatch(server, "OPEN engine=sim degrade=nosuch_knob degrade_sev=0.5")
           .rfind("ERR", 0),
       0u);
 }
 
-TEST(SocketServerTest, ServesClientsAndStopsGracefully) {
+// Regression: a mini tenant whose instance cannot boot (its disk is smaller
+// than its table) used to abort the whole server process from the engine's
+// constructor. Now only that OPEN fails and the other tenants keep stepping.
+TEST(DispatchTest, UnbootableMiniTenantFailsAlone) {
   TuningServer server;
   ASSERT_TRUE(server.AdoptModel(SharedTrainedTuner()).ok());
-  io::SocketServerOptions options;
-  options.socket_name = "cdbtune-test-" + std::to_string(::getpid());
-  options.worker_threads = 2;
-  io::SocketServer front(&server, options);
-  ASSERT_TRUE(front.Start().ok());
-
-  auto client = io::Socket::Connect(options.socket_name);
-  ASSERT_TRUE(client.ok()) << client.status().ToString();
-  auto roundtrip = [&](const std::string& line) {
-    EXPECT_TRUE(client->SendLine(line).ok());
-    auto reply = client->RecvLine();
-    EXPECT_TRUE(reply.ok()) << reply.status().ToString();
-    return reply.ok() ? *reply : std::string();
-  };
-  EXPECT_EQ(roundtrip("PING"), "OK pong=1");
-  std::string opened = roundtrip("OPEN engine=sim seed=7 steps=1");
-  EXPECT_EQ(opened.rfind("OK id=0", 0), 0u) << opened;
-  EXPECT_EQ(roundtrip("STEP id=0").rfind("OK id=0 step=1", 0), 0u);
-  EXPECT_EQ(roundtrip("CLOSE id=0").rfind("OK id=0", 0), 0u);
-
-  // A second concurrent client is served by another worker.
-  auto second = io::Socket::Connect(options.socket_name);
-  ASSERT_TRUE(second.ok());
-  EXPECT_TRUE(second->SendLine("PING").ok());
-  EXPECT_EQ(second->RecvLine().value(), "OK pong=1");
-
-  EXPECT_EQ(roundtrip("SHUTDOWN"), "OK bye=1");
-  front.WaitForShutdown();
-  server.DrainAndStop();
-  front.Stop();  // Joins every thread; second client's socket is shut down.
-}
-
-// Regression: the daemon parks its main thread in WaitForShutdown() while
-// workers serve connections. With one condition variable shared by both, the
-// acceptor's notify_one could wake the shutdown waiter instead of a worker;
-// the waiter re-slept and the wakeup was consumed, stranding the queued
-// connection and hanging its client forever.
-TEST(SocketServerTest, ServesClientsWhileWaitForShutdownBlocks) {
-  TuningServer server;
-  ASSERT_TRUE(server.AdoptModel(SharedTrainedTuner()).ok());
-  io::SocketServerOptions options;
-  options.socket_name = "cdbtune-test-wfs-" + std::to_string(::getpid());
-  io::SocketServer front(&server, options);
-  ASSERT_TRUE(front.Start().ok());
-  std::thread waiter([&] { front.WaitForShutdown(); });
-
-  for (int i = 0; i < 200; ++i) {
-    auto client = io::Socket::Connect(options.socket_name);
-    ASSERT_TRUE(client.ok()) << client.status().ToString();
-    // A lost wakeup hangs the reply forever; bound the wait so the lost case
-    // fails instead of wedging the suite.
-    timeval timeout{.tv_sec = 5, .tv_usec = 0};
-    ASSERT_EQ(::setsockopt(client->fd(), SOL_SOCKET, SO_RCVTIMEO, &timeout,
-                           sizeof(timeout)),
-              0);
-    ASSERT_TRUE(client->SendLine("PING").ok());
-    auto reply = client->RecvLine();
-    ASSERT_TRUE(reply.ok()) << "connection " << i
-                            << " never served: " << reply.status().ToString();
-    EXPECT_EQ(*reply, "OK pong=1");
-  }
-
-  auto client = io::Socket::Connect(options.socket_name);
-  ASSERT_TRUE(client.ok());
-  ASSERT_TRUE(client->SendLine("SHUTDOWN").ok());
-  EXPECT_EQ(client->RecvLine().value(), "OK bye=1");
-  waiter.join();
-  server.DrainAndStop();
-  front.Stop();
+  ASSERT_EQ(Dispatch(server, "OPEN engine=sim seed=5 steps=2").rfind("OK", 0),
+            0u);
+  std::string doomed =
+      Dispatch(server, "OPEN engine=mini disk_gb=5 rows=2000 stress_s=10");
+  EXPECT_EQ(doomed.rfind("ERR", 0), 0u) << doomed;
+  std::string stepped = Dispatch(server, "STEP id=0 n=2");
+  EXPECT_EQ(stepped.rfind("OK id=0 step=2", 0), 0u) << stepped;
 }
 
 TEST(ShardedExperiencePoolTest, SnapshotAfterWraparoundIsDeterministic) {
@@ -796,58 +729,36 @@ TEST(DispatchTest, CheckpointVerbs) {
   RemoveGenerations(path);
   TuningServer server;
   ASSERT_TRUE(server.AdoptModel(SharedTrainedTuner()).ok());
-  bool shutdown = false;
-  EXPECT_EQ(DispatchLine(server, "SAVE", &shutdown).rfind("ERR", 0), 0u);
-  EXPECT_EQ(DispatchLine(server, "RESTORE", &shutdown).rfind("ERR", 0), 0u);
-  EXPECT_EQ(
-      DispatchLine(server, "REBUILD actor_hidden=12-x", &shutdown).rfind("ERR", 0),
-      0u);
+  EXPECT_EQ(Dispatch(server, "SAVE").rfind("ERR", 0), 0u);
+  EXPECT_EQ(Dispatch(server, "RESTORE").rfind("ERR", 0), 0u);
+  EXPECT_EQ(Dispatch(server, "REBUILD actor_hidden=12-x").rfind("ERR", 0), 0u);
 
-  std::string opened = DispatchLine(
-      server, "OPEN engine=sim workload=sysbench_rw seed=31 steps=2",
-      &shutdown);
+  std::string opened = Dispatch(
+      server, "OPEN engine=sim workload=sysbench_rw seed=31 steps=2");
   ASSERT_EQ(opened.rfind("OK id=0", 0), 0u) << opened;
-  ASSERT_EQ(DispatchLine(server, "STEP id=0", &shutdown).rfind("OK", 0), 0u);
-  std::string saved = DispatchLine(server, "SAVE path=" + path, &shutdown);
+  ASSERT_EQ(Dispatch(server, "STEP id=0").rfind("OK", 0), 0u);
+  std::string saved = Dispatch(server, "SAVE path=" + path);
   EXPECT_EQ(saved.rfind("OK path=", 0), 0u) << saved;
 
-  std::string rebuilt = DispatchLine(
-      server, "REBUILD actor_hidden=24-16 seed=5 train=2", &shutdown);
+  std::string rebuilt =
+      Dispatch(server, "REBUILD actor_hidden=24-16 seed=5 train=2");
   EXPECT_EQ(rebuilt.rfind("OK experiences=", 0), 0u) << rebuilt;
   EXPECT_NE(rebuilt.find("params_after="), std::string::npos);
 
   // A fresh server restores the whole world from the file: model plus the
   // mid-flight session, which then finishes over the same protocol.
   TuningServer resumed;
-  std::string restored =
-      DispatchLine(resumed, "RESTORE path=" + path, &shutdown);
+  std::string restored = Dispatch(resumed, "RESTORE path=" + path);
   EXPECT_EQ(restored.rfind("OK path=", 0), 0u) << restored;
   EXPECT_NE(restored.find("sessions=1"), std::string::npos) << restored;
-  std::string status = DispatchLine(resumed, "STATUS id=0", &shutdown);
+  std::string status = Dispatch(resumed, "STATUS id=0");
   EXPECT_NE(status.find("phase=TUNING"), std::string::npos) << status;
-  EXPECT_EQ(DispatchLine(resumed, "STEP id=0", &shutdown).rfind("OK", 0), 0u);
-  EXPECT_EQ(DispatchLine(resumed, "CLOSE id=0", &shutdown).rfind("OK", 0), 0u);
+  EXPECT_EQ(Dispatch(resumed, "STEP id=0").rfind("OK", 0), 0u);
+  EXPECT_EQ(Dispatch(resumed, "CLOSE id=0").rfind("OK", 0), 0u);
 
-  EXPECT_EQ(
-      DispatchLine(resumed, "RESTORE path=/nonexistent/ck", &shutdown)
-          .rfind("ERR", 0),
-      0u);
+  EXPECT_EQ(Dispatch(resumed, "RESTORE path=/nonexistent/ck").rfind("ERR", 0),
+            0u);
   RemoveGenerations(path);
-}
-
-TEST(SocketServerTest, StopUnblocksIdleConnections) {
-  TuningServer server;
-  io::SocketServerOptions options;
-  options.socket_name = "cdbtune-test-idle-" + std::to_string(::getpid());
-  options.worker_threads = 1;
-  io::SocketServer front(&server, options);
-  ASSERT_TRUE(front.Start().ok());
-  auto client = io::Socket::Connect(options.socket_name);
-  ASSERT_TRUE(client.ok());
-  // The worker sits in RecvLine on this connection; Stop must unblock it
-  // and join without the client ever sending a byte.
-  front.Stop();
-  EXPECT_FALSE(client->RecvLine().ok());
 }
 
 }  // namespace

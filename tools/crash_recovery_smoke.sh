@@ -3,11 +3,13 @@
 # round-interval autosave, tune for a few rounds, SIGKILL it mid-flight,
 # restart with --restore, and require the restored session trajectory to be
 # byte-identical to the pre-kill one — then keep tuning to completion over
-# the same socket. A second phase repeats the exercise against the safety
+# the same protocol. A second phase repeats the exercise against the safety
 # guardrail (DESIGN.md §12): a guarded session with an injected regression
 # is killed -9 right after its rollback fired, and the restore must land
 # the tenant back on its last-known-good config with identical guardrail
-# telemetry. Usage:
+# telemetry. The daemon listens on an ephemeral loopback TCP port; every
+# start reads the bound port from the daemon's "listening on tcp" line.
+# A malformed flag value must be rejected with exit status 2. Usage:
 #
 #   tools/crash_recovery_smoke.sh [path/to/cdbtune_serve]
 #
@@ -16,34 +18,63 @@ set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 SERVE="${1:-$ROOT/build/examples/cdbtune_serve}"
-SOCKET="cdbtune-smoke-$$"
 CKPT="$(mktemp -u /tmp/cdbtune_smoke_XXXXXX.ckpt)"
 CKPT2="$(mktemp -u /tmp/cdbtune_smoke_guard_XXXXXX.ckpt)"
+LOG="$(mktemp /tmp/cdbtune_smoke_XXXXXX.log)"
 DAEMON_PID=""
+ADDR=""
 
 cleanup() {
   [[ -n "$DAEMON_PID" ]] && kill -9 "$DAEMON_PID" 2> /dev/null || true
-  rm -f "$CKPT" "$CKPT".[0-9]* "$CKPT2" "$CKPT2".[0-9]*
+  rm -f "$CKPT" "$CKPT".[0-9]* "$CKPT2" "$CKPT2".[0-9]* "$LOG"
 }
 trap cleanup EXIT
 
 send() {
-  "$SERVE" --send "$SOCKET" "$@"
+  "$SERVE" --send "$ADDR" "$@"
 }
 
-wait_ready() {
-  for _ in $(seq 1 100); do
-    if send PING > /dev/null 2>&1; then return 0; fi
-    sleep 0.2
-  done
-  echo "FAIL: daemon on @$SOCKET never answered PING" >&2
+fail_with_log() {
+  echo "FAIL: $1" >&2
+  sed 's/^/   daemon: /' "$LOG" >&2
   exit 1
 }
 
+# Starts the daemon on 127.0.0.1:0 with the given flags, reads the port it
+# bound from its log, and waits until it answers PING.
+start_daemon() {
+  "$SERVE" --listen 127.0.0.1:0 "$@" > "$LOG" 2>&1 &
+  DAEMON_PID=$!
+  ADDR=""
+  for _ in $(seq 1 150); do
+    if [[ -z "$ADDR" ]]; then
+      ADDR="$(sed -n 's/^listening on tcp \([0-9.]*:[0-9]*\).*/\1/p' "$LOG")"
+    fi
+    if [[ -n "$ADDR" ]] && send PING > /dev/null 2>&1; then
+      echo "   daemon pid $DAEMON_PID on $ADDR"
+      return 0
+    fi
+    kill -0 "$DAEMON_PID" 2> /dev/null || fail_with_log "daemon exited early"
+    sleep 0.2
+  done
+  fail_with_log "daemon never answered PING"
+}
+
+echo "== malformed flag values are rejected with exit status 2"
+for bad in "127.0.0.1:http" "127.0.0.1:0 --max-conns abc" \
+           "127.0.0.1:0 --autosave x" "127.0.0.1:0 --safety-margin 1e"; do
+  status=0
+  # shellcheck disable=SC2086  # Split the case into argv on purpose.
+  timeout 30 "$SERVE" --listen $bad > /dev/null 2>&1 || status=$?
+  if [[ "$status" -ne 2 ]]; then
+    echo "FAIL: --listen $bad exited $status, want 2" >&2
+    exit 1
+  fi
+  echo "   --listen $bad -> exit 2"
+done
+
 echo "== start daemon with autosave -> $CKPT"
-"$SERVE" --listen "$SOCKET" --checkpoint "$CKPT" --autosave 1 &
-DAEMON_PID=$!
-wait_ready
+start_daemon --checkpoint "$CKPT" --autosave 1
 
 echo "== open two sessions, tune two rounds (each round autosaves)"
 send 'OPEN engine=sim workload=sysbench_rw seed=7 steps=5' \
@@ -68,9 +99,7 @@ DAEMON_PID=""
 }
 
 echo "== restart with --restore"
-"$SERVE" --listen "$SOCKET" --checkpoint "$CKPT" --restore &
-DAEMON_PID=$!
-wait_ready
+start_daemon --checkpoint "$CKPT" --restore
 
 AFTER_S0="$(send 'STATUS id=0')"
 AFTER_S1="$(send 'STATUS id=1')"
@@ -102,10 +131,8 @@ DAEMON_PID=""
 
 echo "== phase 2: guardrail rollback survives kill -9"
 echo "== start guarded daemon with autosave -> $CKPT2"
-"$SERVE" --listen "$SOCKET" --checkpoint "$CKPT2" --autosave 1 \
-  --safety on --safety-margin 0.02 --safety-k 2 --safety-drift 100 &
-DAEMON_PID=$!
-wait_ready
+start_daemon --checkpoint "$CKPT2" --autosave 1 \
+  --safety on --safety-margin 0.02 --safety-k 2 --safety-drift 100
 
 # One guarded tenant whose simulated instance degrades every post-baseline
 # stress run in proportion to how far the buffer pool moved from default:
@@ -139,10 +166,8 @@ DAEMON_PID=""
 }
 
 echo "== restart with --restore (guardrail flags must match the save)"
-"$SERVE" --listen "$SOCKET" --checkpoint "$CKPT2" --restore \
-  --safety on --safety-margin 0.02 --safety-k 2 --safety-drift 100 &
-DAEMON_PID=$!
-wait_ready
+start_daemon --checkpoint "$CKPT2" --restore \
+  --safety on --safety-margin 0.02 --safety-k 2 --safety-drift 100
 
 RESTORED_STATUS="$(send 'STATUS id=0')"
 echo "   restored:  $RESTORED_STATUS"

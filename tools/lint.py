@@ -17,10 +17,9 @@ mutable-global   Namespace-scope or function-local static mutable state with
                  once_flag/thread_local and no ComputeContext ownership).
 blocking-socket  Raw socket syscalls (::socket/::connect/::accept/::recv/...)
                  or <sys/socket.h>/<sys/un.h> includes in src/ outside
-                 src/server/io and src/server/net — the io::Socket wrapper
-                 (blocking, AF_UNIX) and the net/ event-driven front end
-                 (non-blocking, TCP) are the two sanctioned homes of socket
-                 I/O, so shutdown semantics stay in audited places.
+                 src/server/net — the event-driven TCP front end and its
+                 FrameClient peer are the one sanctioned home of socket
+                 I/O, so shutdown semantics stay in one audited place.
 raw-checkpoint-write
                  `std::ofstream` (or <fstream> includes) in the model/replay
                  state trees (src/nn, src/rl, src/tuner, src/server) outside
@@ -376,15 +375,13 @@ class Linter:
     def _check_blocking_socket(self, path, rel, code, idx) -> None:
         if rel.parts[0] != "src":
             return
-        if rel.parts[:3] in (("src", "server", "io"),
-                             ("src", "server", "net")):
-            return  # The sanctioned homes of raw socket I/O (io/ blocking
-            # AF_UNIX, net/ non-blocking epoll TCP).
+        if rel.parts[:3] == ("src", "server", "net"):
+            return  # The sanctioned home of raw socket I/O (epoll TCP).
         if SOCKET_CALL_RE.search(code) or SOCKET_INCLUDE_RE.search(code):
             self.report(path, idx, "blocking-socket",
-                        "blocking socket call/include outside src/server/io "
-                        "or src/server/net; use server::io::Socket or the "
-                        "net:: front end instead")
+                        "blocking socket call/include outside "
+                        "src/server/net; use the net:: front end "
+                        "(TcpServer / FrameClient) instead")
 
     def _check_raw_checkpoint_write(self, path, rel, code, idx) -> None:
         if rel.parts[0] != "src" or len(rel.parts) < 2:

@@ -1,7 +1,6 @@
 // Lint fixture (never compiled): the same raw socket traffic as
-// bad_blocking_socket.cc, but inside src/server/net/ — with src/server/io
-// one of the two sanctioned homes of socket I/O — so the blocking-socket
-// rule must stay silent here.
+// bad_blocking_socket.cc, but inside src/server/net/ — the one sanctioned
+// home of socket I/O — so the blocking-socket rule must stay silent here.
 #include <sys/socket.h>
 
 namespace cdbtune::server::net {

@@ -1,7 +1,7 @@
-// Lint fixture (never compiled): raw socket I/O outside the two sanctioned
-// homes (src/server/io, src/server/net). The include and each raw syscall
-// below must be flagged by the blocking-socket rule — socket shutdown
-// semantics live only in audited transport code.
+// Lint fixture (never compiled): raw socket I/O outside the one sanctioned
+// home (src/server/net). The include and each raw syscall below must be
+// flagged by the blocking-socket rule — socket shutdown semantics live only
+// in audited transport code.
 #include <sys/socket.h>
 
 namespace cdbtune::tuner {

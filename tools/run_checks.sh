@@ -1,8 +1,6 @@
 #!/usr/bin/env bash
 # Full correctness gate: repo lint, the test suite pinned to each SIMD
-# dispatch tier (plus a CDBTUNE_NET=epoll leg that un-skips the TCP
-# transport-equivalence test), then the test suite under each sanitizer —
-# each sanitizer also reruns the transport suites with CDBTUNE_NET=epoll.
+# dispatch tier, then the test suite under each sanitizer.
 #
 #   tools/run_checks.sh                 # lint + SIMD tiers + ASan/UBSan/TSan
 #   tools/run_checks.sh lint            # lint only
@@ -119,18 +117,6 @@ if [[ "$run_simd" == "1" ]]; then
       failures+=("simd-${tier}")
     fi
   done
-  # The epoll/TCP front end's transport-equivalence gate: CDBTUNE_NET=epoll
-  # un-skips the serve-over-TCP-vs-in-process bitwise comparison in net_test
-  # (everything else in net_test/server_test runs unconditionally, so the
-  # targeted rerun only pays for the two transport suites).
-  echo "---- CDBTUNE_NET=epoll ----"
-  if (cd build-simd &&
-      CDBTUNE_NET=epoll ctest --output-on-failure -j "$jobs" \
-        -R 'net_test|server_test'); then
-    echo "net-epoll: OK"
-  else
-    failures+=("net-epoll")
-  fi
   echo
 fi
 
@@ -189,17 +175,6 @@ for san in "${sanitizers[@]}"; do
     echo "${san}: OK"
   else
     failures+=("$san")
-  fi
-
-  # Rerun the transport suites with the epoll bitwise-equivalence test
-  # un-skipped, under the same sanitizer: the reactor's cross-thread
-  # completion path is exactly what TSan/ASan should vet.
-  if (cd "$build_dir" &&
-      env "${env_vars[@]}" CDBTUNE_NET=epoll \
-        ctest --output-on-failure -j "$jobs" -R 'net_test|server_test'); then
-    echo "${san}-net-epoll: OK"
-  else
-    failures+=("${san}-net-epoll")
   fi
   echo
 done
