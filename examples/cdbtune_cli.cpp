@@ -119,8 +119,7 @@ int Train(const Args& args) {
     std::fprintf(stderr, "saving model failed: %s\n", saved.ToString().c_str());
     return 1;
   }
-  std::printf("standard model written to %s.{agent,meta}\n",
-              args.model.c_str());
+  std::printf("standard model written to %s\n", args.model.c_str());
   return 0;
 }
 

@@ -56,7 +56,8 @@ namespace {
 
 using namespace cdbtune;
 
-constexpr const char* kModelPrefix = "/tmp/cdbtune_serve_model";
+/// Where the solo loop's tenants load their private copies of the model.
+constexpr const char* kModelPath = "/tmp/cdbtune_serve_model";
 
 /// The demo tenants: mixed engines, workloads, hardware shapes and seeds.
 std::vector<server::SessionSpec> DemoSpecs() {
@@ -86,23 +87,28 @@ std::vector<server::SessionSpec> DemoSpecs() {
   return specs;
 }
 
-/// Trains the standard model once and persists it (train-once half).
-void TrainStandardModel(int offline_steps) {
-  auto db = env::SimulatedCdb::MysqlCdb(env::CdbA(), 41);
-  auto space = knobs::KnobSpace::AllTunable(&db->registry());
+/// The trained standard model plus the instance it trained on (the tuner
+/// keeps a pointer to its database, so the two live together).
+struct StandardModel {
+  std::unique_ptr<env::SimulatedCdb> db;
+  std::unique_ptr<tuner::CdbTuner> tuner;
+};
+
+/// Trains the standard model once (train-once half).
+StandardModel TrainStandardModel(int offline_steps) {
+  StandardModel model;
+  model.db = env::SimulatedCdb::MysqlCdb(env::CdbA(), 41);
+  auto space = knobs::KnobSpace::AllTunable(&model.db->registry());
   tuner::CdbTuneOptions options;
   options.max_offline_steps = offline_steps;
   options.seed = 41;
-  tuner::CdbTuner tuner(db.get(), space, options);
-  auto offline = tuner.OfflineTrain(workload::SysbenchReadWrite());
+  model.tuner =
+      std::make_unique<tuner::CdbTuner>(model.db.get(), space, options);
+  auto offline = model.tuner->OfflineTrain(workload::SysbenchReadWrite());
   std::printf("standard model: %d offline steps, tps %.0f -> %.0f\n",
               offline.iterations, offline.initial.throughput,
               offline.best.throughput);
-  auto saved = tuner.SaveModel(kModelPrefix);
-  if (!saved.ok()) {
-    std::fprintf(stderr, "SaveModel: %s\n", saved.ToString().c_str());
-    std::exit(1);
-  }
+  return model;
 }
 
 std::unique_ptr<env::DbInterface> MakeSpecDb(const server::SessionSpec& spec) {
@@ -116,9 +122,17 @@ std::unique_ptr<env::DbInterface> MakeSpecDb(const server::SessionSpec& spec) {
 }
 
 /// The seed loop: a fresh CdbTuner per tenant, loading the standard model
-/// and running the classic single-session OnlineTune.
+/// and running the classic single-session OnlineTune. Online tuning
+/// fine-tunes the tuner's own agent, so every tenant loads a private copy
+/// of the model from the file written here.
 std::vector<tuner::OnlineTuneResult> RunSolo(
-    const std::vector<server::SessionSpec>& specs) {
+    const std::vector<server::SessionSpec>& specs,
+    const tuner::CdbTuner& trained) {
+  auto saved = trained.SaveModel(kModelPath);
+  if (!saved.ok()) {
+    std::fprintf(stderr, "SaveModel: %s\n", saved.ToString().c_str());
+    std::exit(1);
+  }
   std::vector<tuner::OnlineTuneResult> results;
   for (const auto& spec : specs) {
     auto db = MakeSpecDb(spec);
@@ -129,7 +143,7 @@ std::vector<tuner::OnlineTuneResult> RunSolo(
       options.stress_duration_s = spec.stress_duration_s;
     }
     tuner::CdbTuner tuner(db.get(), space, options);
-    auto loaded = tuner.LoadModel(kModelPrefix);
+    auto loaded = tuner.LoadModel(kModelPath);
     if (!loaded.ok()) {
       std::fprintf(stderr, "LoadModel: %s\n", loaded.ToString().c_str());
       std::exit(1);
@@ -141,19 +155,9 @@ std::vector<tuner::OnlineTuneResult> RunSolo(
 
 /// Tune-many half: all tenants through one TuningServer, stepping in rounds.
 std::vector<tuner::OnlineTuneResult> RunServed(
-    const std::vector<server::SessionSpec>& specs, size_t threads) {
+    const std::vector<server::SessionSpec>& specs, size_t threads,
+    tuner::CdbTuner& trained) {
   util::ComputeContext::Get().SetThreads(threads);
-  auto model_db = env::SimulatedCdb::MysqlCdb(env::CdbA(), 41);
-  auto model_space = knobs::KnobSpace::AllTunable(&model_db->registry());
-  tuner::CdbTuneOptions model_options;
-  model_options.seed = 41;
-  tuner::CdbTuner trained(model_db.get(), model_space, model_options);
-  auto loaded = trained.LoadModel(kModelPrefix);
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "LoadModel: %s\n", loaded.ToString().c_str());
-    std::exit(1);
-  }
-
   server::TuningServer srv;
   auto adopted = srv.AdoptModel(trained);
   if (!adopted.ok()) {
@@ -219,22 +223,13 @@ double RunProbeSession(server::TuningServer& srv, uint64_t seed) {
 /// REBUILD as the paper's Table 6, live: accumulate experience with the
 /// trained model, rebuild a *smaller* agent warm-started from the pool, and
 /// show its first served episode beats the same architecture starting cold.
-bool RunRebuildDemo(const std::vector<server::SessionSpec>& specs) {
+bool RunRebuildDemo(const std::vector<server::SessionSpec>& specs,
+                    tuner::CdbTuner& trained) {
   util::ComputeContext::Get().SetThreads(1);
   const std::vector<size_t> new_actor = {96, 64};
   const uint64_t probe_seed = 999;
 
   // Warm: serve the demo tenants to fill the experience pool, then rebuild.
-  auto model_db = env::SimulatedCdb::MysqlCdb(env::CdbA(), 41);
-  auto model_space = knobs::KnobSpace::AllTunable(&model_db->registry());
-  tuner::CdbTuneOptions model_options;
-  model_options.seed = 41;
-  tuner::CdbTuner trained(model_db.get(), model_space, model_options);
-  auto loaded = trained.LoadModel(kModelPrefix);
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "LoadModel: %s\n", loaded.ToString().c_str());
-    std::exit(1);
-  }
   server::TuningServer warm;
   if (!warm.AdoptModel(trained).ok()) std::exit(1);
   for (const auto& spec : specs) {
@@ -281,15 +276,15 @@ bool RunRebuildDemo(const std::vector<server::SessionSpec>& specs) {
 }
 
 int RunDemo() {
-  TrainStandardModel(/*offline_steps=*/400);
+  StandardModel model = TrainStandardModel(/*offline_steps=*/400);
   auto specs = DemoSpecs();
 
   std::printf("-- solo seed loop (%zu tenants, sequential) --\n", specs.size());
-  auto solo = RunSolo(specs);
+  auto solo = RunSolo(specs, *model.tuner);
   std::printf("-- tuning server, 4 threads --\n");
-  auto served4 = RunServed(specs, 4);
+  auto served4 = RunServed(specs, 4, *model.tuner);
   std::printf("-- tuning server, 1 thread --\n");
-  auto served1 = RunServed(specs, 1);
+  auto served1 = RunServed(specs, 1, *model.tuner);
 
   bool ok = true;
   for (size_t i = 0; i < specs.size(); ++i) {
@@ -314,7 +309,7 @@ int RunDemo() {
         bitwise ? "DETERMINISTIC" : "THREAD-DIVERGED");
   }
   std::printf("-- rebuild warm-start (Table 6, live) --\n");
-  bool rebuild_ok = RunRebuildDemo(specs);
+  bool rebuild_ok = RunRebuildDemo(specs, *model.tuner);
   ok = ok && rebuild_ok;
 
   std::printf(ok ? "PASS: all sessions meet the solo baseline, bitwise "
@@ -453,18 +448,8 @@ int RunListen(const ListenFlags& flags) {
         report->sessions,
         static_cast<unsigned long long>(report->rounds_completed));
   } else {
-    TrainStandardModel(/*offline_steps=*/200);
-    auto db = env::SimulatedCdb::MysqlCdb(env::CdbA(), 41);
-    auto space = knobs::KnobSpace::AllTunable(&db->registry());
-    tuner::CdbTuneOptions options;
-    options.seed = 41;
-    tuner::CdbTuner trained(db.get(), space, options);
-    auto loaded = trained.LoadModel(kModelPrefix);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "LoadModel: %s\n", loaded.ToString().c_str());
-      return 1;
-    }
-    auto adopted = srv.AdoptModel(trained);
+    StandardModel model = TrainStandardModel(/*offline_steps=*/200);
+    auto adopted = srv.AdoptModel(*model.tuner);
     if (!adopted.ok()) {
       std::fprintf(stderr, "AdoptModel: %s\n", adopted.ToString().c_str());
       return 1;

@@ -1,41 +1,10 @@
 #include "nn/layer.h"
 
 #include <cmath>
-#include <istream>
-#include <ostream>
 
 #include "util/check.h"
 
 namespace cdbtune::nn {
-
-namespace {
-
-void SaveMatrix(std::ostream& os, const Matrix& m) {
-  os << m.rows() << " " << m.cols() << "\n";
-  os.precision(17);
-  for (size_t r = 0; r < m.rows(); ++r) {
-    for (size_t c = 0; c < m.cols(); ++c) {
-      os << m.at(r, c) << (c + 1 == m.cols() ? "" : " ");
-    }
-    os << "\n";
-  }
-}
-
-Matrix LoadMatrix(std::istream& is) {
-  size_t rows = 0, cols = 0;
-  is >> rows >> cols;
-  CDBTUNE_CHECK(is.good()) << "malformed matrix header in model file";
-  Matrix m(rows, cols);
-  for (size_t r = 0; r < rows; ++r) {
-    for (size_t c = 0; c < cols; ++c) {
-      is >> m.at(r, c);
-    }
-  }
-  CDBTUNE_CHECK(!is.fail()) << "malformed matrix body in model file";
-  return m;
-}
-
-}  // namespace
 
 void SaveMatrixBinary(persist::Encoder& enc, const Matrix& m) {
   enc.WriteU64(m.rows());
@@ -59,21 +28,6 @@ util::Status LoadMatrixBinary(persist::Decoder& dec, Matrix* out) {
   }
   *out = std::move(m);
   return util::Status::Ok();
-}
-
-void Layer::SaveState(std::ostream& os) const {
-  for (Parameter* p : const_cast<Layer*>(this)->Params()) {
-    SaveMatrix(os, p->value);
-  }
-}
-
-void Layer::LoadState(std::istream& is) {
-  for (Parameter* p : Params()) {
-    Matrix loaded = LoadMatrix(is);
-    CDBTUNE_CHECK(loaded.SameShape(p->value))
-        << "model file shape mismatch for " << p->name;
-    p->value = std::move(loaded);
-  }
 }
 
 void Layer::SaveBinary(persist::Encoder& enc) const {
@@ -317,18 +271,6 @@ Matrix BatchNorm::Backward(const Matrix& grad_output, bool param_grads) {
     }
   }
   return grad_in;
-}
-
-void BatchNorm::SaveState(std::ostream& os) const {
-  Layer::SaveState(os);
-  SaveMatrix(os, running_mean_);
-  SaveMatrix(os, running_var_);
-}
-
-void BatchNorm::LoadState(std::istream& is) {
-  Layer::LoadState(is);
-  running_mean_ = LoadMatrix(is);
-  running_var_ = LoadMatrix(is);
 }
 
 void BatchNorm::SaveBinary(persist::Encoder& enc) const {

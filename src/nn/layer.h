@@ -1,7 +1,6 @@
 #ifndef CDBTUNE_NN_LAYER_H_
 #define CDBTUNE_NN_LAYER_H_
 
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
@@ -14,8 +13,8 @@
 namespace cdbtune::nn {
 
 /// Bit-exact binary matrix codec used by the checkpoint subsystem: u64
-/// rows, u64 cols, then every element bit-cast through uint64_t. Unlike the
-/// text path there is no formatting round-trip to reason about.
+/// rows, u64 cols, then every element bit-cast through uint64_t, so there
+/// is no formatting round-trip to reason about.
 void SaveMatrixBinary(persist::Encoder& enc, const Matrix& m);
 util::Status LoadMatrixBinary(persist::Decoder& dec, Matrix* out);
 
@@ -67,12 +66,8 @@ class Layer {
   virtual std::string Name() const = 0;
 
   /// Persists learnable parameters AND internal buffers (e.g., BatchNorm
-  /// running statistics) so a reloaded model behaves identically in eval.
-  virtual void SaveState(std::ostream& os) const;
-  virtual void LoadState(std::istream& is);
-
-  /// Binary (bit-exact) counterparts of SaveState/LoadState, used by the
-  /// checkpoint subsystem. LoadBinary validates shapes against the live
+  /// running statistics) bit-exactly, so a reloaded model behaves
+  /// identically in eval. LoadBinary validates shapes against the live
   /// layer and rejects mismatches instead of aborting, so a corrupt or
   /// foreign checkpoint surfaces as a Status the caller can fall back from.
   virtual void SaveBinary(persist::Encoder& enc) const;
@@ -164,8 +159,6 @@ class BatchNorm : public Layer {
   std::vector<Parameter*> Params() override { return {&gamma_, &beta_}; }
   std::string Name() const override { return "BatchNorm"; }
 
-  void SaveState(std::ostream& os) const override;
-  void LoadState(std::istream& is) override;
   void SaveBinary(persist::Encoder& enc) const override;
   util::Status LoadBinary(persist::Decoder& dec) override;
 

@@ -1,11 +1,5 @@
 #include "nn/sequential.h"
 
-// lint: allow(raw-checkpoint-write) — std::ifstream only: loads go
-// through ReadFile/ifstream; every write goes through persist.
-#include <fstream>
-#include <sstream>
-
-#include "persist/atomic_file.h"
 #include "util/check.h"
 
 namespace cdbtune::nn {
@@ -81,44 +75,6 @@ void Sequential::SoftUpdateFrom(Sequential& source, double tau) {
     const double keep = 1.0 - tau;
     for (size_t j = 0; j < n; ++j) d[j] = tau * s[j] + keep * d[j];
   }
-}
-
-void Sequential::Save(std::ostream& os) const {
-  os << "cdbtune-model-v1 " << layers_.size() << "\n";
-  for (const auto& layer : layers_) {
-    os << layer->Name() << "\n";
-    layer->SaveState(os);
-  }
-}
-
-util::Status Sequential::SaveToFile(const std::string& path) const {
-  std::ostringstream os;
-  Save(os);
-  return persist::AtomicWriteFile(path, os.str());
-}
-
-void Sequential::Load(std::istream& is) {
-  std::string magic;
-  size_t count = 0;
-  is >> magic >> count;
-  CDBTUNE_CHECK(magic == "cdbtune-model-v1") << "bad model file magic";
-  CDBTUNE_CHECK(count == layers_.size())
-      << "model file has " << count << " layers, network has "
-      << layers_.size();
-  for (auto& layer : layers_) {
-    std::string name;
-    is >> name;
-    CDBTUNE_CHECK(name == layer->Name())
-        << "layer type mismatch: file " << name << " vs " << layer->Name();
-    layer->LoadState(is);
-  }
-}
-
-util::Status Sequential::LoadFromFile(const std::string& path) {
-  std::ifstream is(path);
-  if (!is.good()) return util::Status::NotFound("cannot open " + path);
-  Load(is);
-  return util::Status::Ok();
 }
 
 void Sequential::SaveBinary(persist::Encoder& enc) const {

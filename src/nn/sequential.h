@@ -1,7 +1,6 @@
 #ifndef CDBTUNE_NN_SEQUENTIAL_H_
 #define CDBTUNE_NN_SEQUENTIAL_H_
 
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
@@ -61,14 +60,6 @@ class Sequential {
 
   /// Polyak averaging toward `source`: p <- tau * p_source + (1-tau) * p.
   void SoftUpdateFrom(Sequential& source, double tau);
-
-  /// Serializes all layer state (parameters + buffers) to a stream / file.
-  /// The file write goes through persist::AtomicWriteFile, so a crash never
-  /// leaves a half-written model on disk.
-  void Save(std::ostream& os) const;
-  util::Status SaveToFile(const std::string& path) const;
-  void Load(std::istream& is);
-  util::Status LoadFromFile(const std::string& path);
 
   /// Bit-exact binary serialization for checkpoints (DESIGN.md §9): layer
   /// count + per-layer type name + Layer::SaveBinary payload. LoadBinary

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <memory>
 
-#include "persist/atomic_file.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
 
@@ -425,26 +424,6 @@ util::Status DdpgAgent::RestoreFromChunks(const persist::ChunkFile& file,
   return file.Decode(prefix + "noise", [&](persist::Decoder& dec) {
     return noise_.LoadBinary(dec);
   });
-}
-
-util::Status DdpgAgent::Save(const std::string& prefix) const {
-  persist::ChunkWriter writer;
-  AppendChunks(writer);
-  auto bytes = writer.Finish();
-  CDBTUNE_RETURN_IF_ERROR(bytes.status());
-  return persist::AtomicWriteFile(prefix + ".agent", *bytes);
-}
-
-util::Status DdpgAgent::Load(const std::string& prefix) {
-  auto bytes = persist::ReadFile(prefix + ".agent");
-  CDBTUNE_RETURN_IF_ERROR(bytes.status());
-  auto file = persist::ChunkFile::Parse(*std::move(bytes));
-  CDBTUNE_RETURN_IF_ERROR(file.status());
-  // Validate the whole checkpoint against a scratch agent first so a corrupt
-  // file cannot leave *this holding a mix of old and new state.
-  auto scratch = std::make_unique<DdpgAgent>(options_);
-  CDBTUNE_RETURN_IF_ERROR(scratch->RestoreFromChunks(*file));
-  return RestoreFromChunks(*file);
 }
 
 void DdpgAgent::CloneWeightsFrom(DdpgAgent& other) {

@@ -128,15 +128,9 @@ class DdpgAgent {
   /// (validated first; mismatch → kDataLoss before anything is touched).
   /// On a decode error partway through, this agent may hold a mix of old
   /// and new state — callers needing all-or-nothing semantics restore into
-  /// a scratch agent and swap (what Load and the server both do).
+  /// a scratch agent and swap, as CdbTuner::LoadModel and the server do.
   util::Status RestoreFromChunks(const persist::ChunkFile& file,
                                  const std::string& prefix = "agent/");
-
-  /// Whole-agent checkpoint at `path_prefix + ".agent"`, written atomically.
-  /// Load() validates the file against a scratch agent before applying it,
-  /// so a corrupt checkpoint leaves this agent untouched.
-  util::Status Save(const std::string& path_prefix) const;
-  util::Status Load(const std::string& path_prefix);
 
   /// Hard-copies another agent's network weights (used to clone a trained
   /// standard model before online fine-tuning, Section 2.1.2).

@@ -277,11 +277,12 @@ bool TcpServer::FlushWrites(Conn* conn) {
 
 void TcpServer::UpdateInterest(Conn* conn) {
   // Back-pressure state machine (DESIGN.md §13): reads stay on only while
-  // the connection is fully caught up — no request with a worker, no
-  // decoded-but-undispatched requests, and an output backlog below the
-  // half-cap watermark.
+  // the connection is fully caught up — no request with a worker and no
+  // decoded-but-undispatched requests. The send backlog does not pause
+  // reads: a peer that keeps sending but never drains must grow its queue
+  // to sendq_bytes and be shed by QueueFrame, not sit parked on a slot with
+  // its requests stuck in the kernel.
   const bool want_read = !conn->in_flight && conn->pending.empty() &&
-                         conn->backlog() < options_.sendq_bytes / 2 &&
                          !conn->close_after_flush;
   const bool want_write = conn->backlog() > 0;
   if (!want_read && !conn->reads_paused) {

@@ -66,7 +66,6 @@ struct TcpServerOptions {
 ///   PAUSED  --response queued, no pending--> READING
 ///   any     --dispatch queue full----------> typed BUSY frame (request shed)
 ///   any     --send backlog > sendq_bytes---> connection dropped (counted)
-///   any     --backlog >= sendq_bytes/2-----> PAUSED until writes drain
 class TcpServer : public TransportStatsSource {
  public:
   TcpServer(const Dispatcher* dispatcher, TcpServerOptions options);

@@ -1,7 +1,6 @@
 #include "server/tuning_server.h"
 
 #include <functional>
-#include <sstream>
 #include <utility>
 
 #include "engine/mini_cdb.h"
@@ -130,9 +129,7 @@ util::Status LoadSessionSpecBinary(persist::Decoder& dec, SessionSpec* out) {
   return util::Status::Ok();
 }
 
-/// Session options derived from the server defaults + the tenant's spec;
-/// shared by Open and RestoreCheckpoint so a restored session validates
-/// its checkpoint against exactly the options it would get live.
+/// Session options derived from the server defaults + the tenant's spec.
 tuner::TuningSessionOptions SessionOptionsFor(
     const TuningServerOptions& server_options, const SessionSpec& spec) {
   tuner::TuningSessionOptions session_options;
@@ -149,26 +146,6 @@ tuner::TuningSessionOptions SessionOptionsFor(
   if (spec.safety == 0) session_options.safety.enabled = false;
   if (spec.safety == 1) session_options.safety.enabled = true;
   return session_options;
-}
-
-/// The metrics collector keeps its exact text round-trip format (precision
-/// 17); checkpoints embed it as an opaque blob instead of re-deriving a
-/// binary layout for the standardizer.
-std::string CollectorBlob(const tuner::MetricsCollector& collector) {
-  std::ostringstream os;
-  os.precision(17);
-  collector.SaveState(os);
-  return os.str();
-}
-
-util::Status LoadCollectorBlob(const std::string& blob,
-                               tuner::MetricsCollector* collector) {
-  std::istringstream is(blob);
-  collector->LoadState(is);
-  if (is.fail()) {
-    return util::Status::DataLoss("collector statistics blob is malformed");
-  }
-  return util::Status::Ok();
 }
 
 }  // namespace
@@ -305,13 +282,38 @@ void TuningServer::RefreshStatus(Slot* slot) {
   }
 }
 
+util::StatusOr<std::unique_ptr<TuningServer::Session>>
+TuningServer::ProvisionSession(int id, const SessionSpec& spec, size_t shard,
+                               tuner::MetricsCollector collector,
+                               const rl::DdpgOptions& model,
+                               util::StatusCode mismatch) {
+  auto db = MakeDb(spec);
+  CDBTUNE_RETURN_IF_ERROR(db.status());
+  knobs::KnobSpace space = knobs::KnobSpace::AllTunable(&(*db)->registry());
+  if (space.action_dim() != model.action_dim) {
+    return util::Status(mismatch, "session " + std::to_string(id) +
+                                      ": engine knob space does not match "
+                                      "the model's action space");
+  }
+  const double noise_theta = options_.noise_theta >= 0.0 ? options_.noise_theta
+                                                         : model.noise_theta;
+  const double noise_sigma = options_.noise_sigma >= 0.0 ? options_.noise_sigma
+                                                         : model.noise_sigma;
+  auto session = std::make_unique<Session>(
+      this, id, spec, shard, std::move(*db), std::move(collector),
+      model.action_dim, noise_theta, noise_sigma);
+  session->tuning = std::make_unique<tuner::TuningSession>(
+      session->db.get(), std::move(space), session->spec.workload,
+      &session->collector, &session->policy, &session->sink,
+      SessionOptionsFor(options_, spec));
+  return session;
+}
+
 util::StatusOr<int> TuningServer::Open(const SessionSpec& spec) {
   if (spec.max_steps <= 0) {
     return util::Status::InvalidArgument("max_steps must be positive");
   }
-  size_t action_dim;
-  double noise_theta;
-  double noise_sigma;
+  rl::DdpgOptions model;
   tuner::MetricsCollector collector;
   {
     util::MutexLock lock(agent_mu_);
@@ -319,11 +321,7 @@ util::StatusOr<int> TuningServer::Open(const SessionSpec& spec) {
       return util::Status::FailedPrecondition(
           "no model adopted; call AdoptModel first");
     }
-    action_dim = agent_->options().action_dim;
-    noise_theta = options_.noise_theta >= 0.0 ? options_.noise_theta
-                                              : agent_->options().noise_theta;
-    noise_sigma = options_.noise_sigma >= 0.0 ? options_.noise_sigma
-                                              : agent_->options().noise_sigma;
+    model = agent_->options();
     collector = collector_template_;
   }
 
@@ -351,28 +349,14 @@ util::StatusOr<int> TuningServer::Open(const SessionSpec& spec) {
     free_shards_.push_back(shard);
   };
 
-  auto db = MakeDb(spec);
-  if (!db.ok()) {
+  auto provisioned =
+      ProvisionSession(id, spec, shard, std::move(collector), model,
+                       util::StatusCode::kInvalidArgument);
+  if (!provisioned.ok()) {
     release_shard();
-    return db.status();
+    return provisioned.status();
   }
-  knobs::KnobSpace space = knobs::KnobSpace::AllTunable(&(*db)->registry());
-  if (space.action_dim() != action_dim) {
-    release_shard();
-    return util::Status::InvalidArgument(
-        "engine knob space (" + std::to_string(space.action_dim()) +
-        ") does not match the adopted model (" + std::to_string(action_dim) +
-        ")");
-  }
-
-  auto session = std::make_unique<Session>(this, id, spec, shard,
-                                           std::move(*db), std::move(collector),
-                                           action_dim, noise_theta,
-                                           noise_sigma);
-  session->tuning = std::make_unique<tuner::TuningSession>(
-      session->db.get(), std::move(space), session->spec.workload,
-      &session->collector, &session->policy, &session->sink,
-      SessionOptionsFor(options_, spec));
+  std::unique_ptr<Session> session = std::move(provisioned).value();
 
   util::Status begun = session->tuning->Begin();
   if (!begun.ok()) {
@@ -648,13 +632,17 @@ void TuningServer::DrainAndStop() {
   }
 }
 
-void TuningServer::AppendCheckpointChunks(persist::ChunkWriter& writer) {
+util::Status TuningServer::AppendCheckpointChunks(
+    persist::ChunkWriter& writer) {
   {
     util::MutexLock lock(agent_mu_);
-    CDBTUNE_CHECK(agent_ != nullptr) << "checkpoint needs an adopted model";
+    if (agent_ == nullptr) {
+      return util::Status::FailedPrecondition(
+          "no model adopted; nothing to checkpoint");
+    }
     agent_->AppendChunks(writer);
     persist::Encoder enc;
-    enc.WriteString(CollectorBlob(collector_template_));
+    collector_template_.SaveBinary(enc);
     enc.WriteDoubleVec(best_offline_action_);
     writer.Add("server/model_meta", enc.Release());
   }
@@ -688,25 +676,19 @@ void TuningServer::AppendCheckpointChunks(persist::ChunkWriter& writer) {
     {
       persist::Encoder enc;
       session.noise.SaveBinary(enc);
-      enc.WriteString(CollectorBlob(session.collector));
+      session.collector.SaveBinary(enc);
       session.tuning->SaveBinary(enc);
       writer.Add(base + "state", enc.Release());
     }
   }
+  return util::Status::Ok();
 }
 
 util::Status TuningServer::SaveCheckpointExclusive(const std::string& path) {
-  {
-    util::MutexLock lock(agent_mu_);
-    if (agent_ == nullptr) {
-      return util::Status::FailedPrecondition(
-          "no model adopted; nothing to checkpoint");
-    }
-  }
   persist::ChunkWriter writer;
-  AppendCheckpointChunks(writer);
-  persist::CheckpointStore store(path, options_.checkpoint_keep);
-  return store.Write(writer);
+  CDBTUNE_RETURN_IF_ERROR(AppendCheckpointChunks(writer));
+  return persist::CheckpointStore(path, options_.checkpoint_keep)
+      .Write(writer);
 }
 
 util::Status TuningServer::SaveCheckpoint(const std::string& path) {
@@ -760,11 +742,10 @@ util::StatusOr<RestoreReport> TuningServer::RestoreCheckpoint(
     std::vector<double> staged_best_action;
     CDBTUNE_RETURN_IF_ERROR(
         file.Decode("server/model_meta", [&](persist::Decoder& dec) {
-          std::string blob;
-          if (!dec.ReadString(&blob)) return dec.status();
-          CDBTUNE_RETURN_IF_ERROR(LoadCollectorBlob(blob, &staged_collector));
+          CDBTUNE_RETURN_IF_ERROR(staged_collector.LoadBinary(dec));
           if (!dec.ReadDoubleVec(&staged_best_action)) return dec.status();
-          return util::Status::Ok();
+          return tuner::ValidateBestAction(staged_best_action,
+                                           agent_options.action_dim);
         }));
 
     tuner::ShardedExperiencePool staged_pool(options_.max_sessions,
@@ -798,13 +779,6 @@ util::StatusOr<RestoreReport> TuningServer::RestoreCheckpoint(
           return util::Status::Ok();
         }));
 
-    const size_t action_dim = agent_options.action_dim;
-    const double noise_theta = options_.noise_theta >= 0.0
-                                   ? options_.noise_theta
-                                   : agent_options.noise_theta;
-    const double noise_sigma = options_.noise_sigma >= 0.0
-                                   ? options_.noise_sigma
-                                   : agent_options.noise_sigma;
     std::map<int, Slot> staged_sessions;
     std::vector<bool> shard_used(options_.max_sessions, false);
     for (int id : ids) {
@@ -823,29 +797,16 @@ util::StatusOr<RestoreReport> TuningServer::RestoreCheckpoint(
       }
       shard_used[shard] = true;
 
-      auto db = MakeDb(spec);
-      CDBTUNE_RETURN_IF_ERROR(db.status());
-      knobs::KnobSpace space =
-          knobs::KnobSpace::AllTunable(&(*db)->registry());
-      if (space.action_dim() != action_dim) {
-        return util::Status::DataLoss(
-            "session " + std::to_string(id) +
-            " knob space does not match the checkpoint's model");
-      }
-      auto session = std::make_unique<Session>(
-          this, id, spec, shard, std::move(*db), tuner::MetricsCollector(),
-          action_dim, noise_theta, noise_sigma);
-      session->tuning = std::make_unique<tuner::TuningSession>(
-          session->db.get(), std::move(space), session->spec.workload,
-          &session->collector, &session->policy, &session->sink,
-          SessionOptionsFor(options_, session->spec));
+      auto provisioned = ProvisionSession(id, spec, shard,
+                                          tuner::MetricsCollector(),
+                                          agent_options,
+                                          util::StatusCode::kDataLoss);
+      CDBTUNE_RETURN_IF_ERROR(provisioned.status());
+      std::unique_ptr<Session> session = std::move(provisioned).value();
       CDBTUNE_RETURN_IF_ERROR(
           file.Decode(base + "state", [&](persist::Decoder& dec) {
             CDBTUNE_RETURN_IF_ERROR(session->noise.LoadBinary(dec));
-            std::string blob;
-            if (!dec.ReadString(&blob)) return dec.status();
-            CDBTUNE_RETURN_IF_ERROR(
-                LoadCollectorBlob(blob, &session->collector));
+            CDBTUNE_RETURN_IF_ERROR(session->collector.LoadBinary(dec));
             return session->tuning->RestoreBinary(dec);
           }));
       Slot slot;

@@ -308,6 +308,15 @@ class TuningServer {
   static util::StatusOr<std::unique_ptr<env::DbInterface>> MakeDb(
       const SessionSpec& spec);
 
+  /// The one session builder behind Open and RestoreCheckpoint: provisions
+  /// the instance, requires its knob space to match `model`'s action space
+  /// (else a `mismatch`-coded error), and wires the exploration stream
+  /// (server noise options, else the model's) and the TuningSession.
+  util::StatusOr<std::unique_ptr<Session>> ProvisionSession(
+      int id, const SessionSpec& spec, size_t shard,
+      tuner::MetricsCollector collector, const rl::DdpgOptions& model,
+      util::StatusCode mismatch);
+
   /// Refreshes `slot`'s status snapshot from its TuningSession. The slot's
   /// session must not be mid-step on another thread.
   void RefreshStatus(Slot* slot) CDBTUNE_REQUIRES(mu_);
@@ -326,9 +335,10 @@ class TuningServer {
   /// gradient steps. Caller holds exclusivity (no Add in flight).
   void MergeAndTrain(int iters) CDBTUNE_EXCLUDES(mu_, agent_mu_);
 
-  /// Serializes the full server state into `writer`. Caller holds
-  /// exclusivity (round barrier); takes mu_ / agent_mu_ internally.
-  void AppendCheckpointChunks(persist::ChunkWriter& writer)
+  /// Serializes the full server state into `writer`; FailedPrecondition
+  /// before a model is adopted. Caller holds exclusivity (round barrier);
+  /// takes mu_ / agent_mu_ internally.
+  util::Status AppendCheckpointChunks(persist::ChunkWriter& writer)
       CDBTUNE_EXCLUDES(mu_, agent_mu_);
 
   /// SaveCheckpoint body without the exclusivity dance — called by

@@ -2,10 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-// lint: allow(raw-checkpoint-write) — std::ifstream only: loads go
-// through ReadFile/ifstream; every write goes through persist.
-#include <fstream>
-#include <sstream>
 
 #include "persist/atomic_file.h"
 #include "safety/apply.h"
@@ -62,6 +58,14 @@ class FineTuneSink final : public ExperienceSink {
 
 }  // namespace
 
+util::Status ValidateBestAction(const std::vector<double>& action,
+                                size_t action_dim) {
+  if (action.empty() || action.size() == action_dim) return util::Status::Ok();
+  return util::Status::DataLoss(
+      "best offline action has " + std::to_string(action.size()) +
+      " dimensions, the knob space has " + std::to_string(action_dim));
+}
+
 CdbTuner::CdbTuner(env::DbInterface* db, knobs::KnobSpace space,
                    CdbTuneOptions options)
     : db_(db),
@@ -88,30 +92,44 @@ double CdbTuner::Score(const PerfPoint& initial, const PerfPoint& point) const {
          options_.latency_coeff * (initial.latency / std::max(1e-9, point.latency));
 }
 
-util::Status CdbTuner::SaveModel(const std::string& prefix) const {
-  CDBTUNE_RETURN_IF_ERROR(agent_->Save(prefix));
-  std::ostringstream os;
-  os.precision(17);
-  collector_.SaveState(os);
-  os << best_action_score_ << "\n" << best_offline_action_.size() << "\n";
-  for (double a : best_offline_action_) os << a << " ";
-  os << "\n";
-  return persist::AtomicWriteFile(prefix + ".meta", os.str());
+util::Status CdbTuner::SaveModel(const std::string& path) const {
+  persist::ChunkWriter writer;
+  agent_->AppendChunks(writer);
+  persist::Encoder enc;
+  collector_.SaveBinary(enc);
+  enc.WriteDouble(best_action_score_);
+  enc.WriteDoubleVec(best_offline_action_);
+  writer.Add("model/meta", enc.Release());
+  auto bytes = writer.Finish();
+  CDBTUNE_RETURN_IF_ERROR(bytes.status());
+  return persist::AtomicWriteFile(path, *bytes);
 }
 
-util::Status CdbTuner::LoadModel(const std::string& prefix) {
-  CDBTUNE_RETURN_IF_ERROR(agent_->Load(prefix));
-  std::ifstream is(prefix + ".meta");
-  if (!is.good()) return util::Status::NotFound("cannot open " + prefix + ".meta");
-  collector_.LoadState(is);
-  size_t n = 0;
-  is >> best_action_score_ >> n;
-  if (is.fail() || n > space_.action_dim() * 4) {
-    return util::Status::Internal("malformed model meta file");
-  }
-  best_offline_action_.assign(n, 0.0);
-  for (double& a : best_offline_action_) is >> a;
-  if (is.fail()) return util::Status::Internal("malformed model meta file");
+util::Status CdbTuner::LoadModel(const std::string& path) {
+  auto bytes = persist::ReadFile(path);
+  CDBTUNE_RETURN_IF_ERROR(bytes.status());
+  auto parsed = persist::ChunkFile::Parse(*std::move(bytes));
+  CDBTUNE_RETURN_IF_ERROR(parsed.status());
+  const persist::ChunkFile& file = *parsed;
+  // Decode into scratch state and swap only once all of it is valid, so a
+  // corrupt or foreign file leaves this tuner exactly as it was.
+  auto agent = std::make_unique<rl::DdpgAgent>(options_.ddpg);
+  CDBTUNE_RETURN_IF_ERROR(agent->RestoreFromChunks(file));
+  MetricsCollector collector;
+  double best_score = 0.0;
+  std::vector<double> best_action;
+  CDBTUNE_RETURN_IF_ERROR(
+      file.Decode("model/meta", [&](persist::Decoder& dec) {
+        CDBTUNE_RETURN_IF_ERROR(collector.LoadBinary(dec));
+        if (!dec.ReadDouble(&best_score) || !dec.ReadDoubleVec(&best_action)) {
+          return dec.status();
+        }
+        return ValidateBestAction(best_action, space_.action_dim());
+      }));
+  agent_ = std::move(agent);
+  collector_ = std::move(collector);
+  best_action_score_ = best_score;
+  best_offline_action_ = std::move(best_action);
   return util::Status::Ok();
 }
 

@@ -88,6 +88,11 @@ struct CdbTuneOptions {
   uint64_t seed = 17;
 };
 
+/// kDataLoss unless a persisted best offline action is empty or has one
+/// entry per knob; any other length would abort the session deploying it.
+util::Status ValidateBestAction(const std::vector<double>& action,
+                                size_t action_dim);
+
 /// Output of offline (cold-start) training.
 struct OfflineTrainResult {
   /// Environment steps executed.
@@ -150,16 +155,17 @@ class CdbTuner {
     return best_offline_action_;
   }
 
-  /// Persists the trained standard model — actor/critic weights, input
-  /// normalization statistics, and the best-experience action — so a model
-  /// trained in one process can serve tuning requests in another (the
-  /// paper's train-once / tune-many deployment). Writes `prefix`.actor,
-  /// `prefix`.critic and `prefix`.meta.
-  util::Status SaveModel(const std::string& prefix) const;
+  /// Persists the trained standard model for the paper's train-once /
+  /// tune-many deployment: one checkpoint container (DESIGN.md §9) written
+  /// atomically to `path`, holding the complete agent under `agent/` plus a
+  /// `model/meta` chunk (normalization statistics, best-experience score
+  /// and action).
+  util::Status SaveModel(const std::string& path) const;
 
-  /// Restores a model saved with SaveModel. The tuner must have been
-  /// constructed with the same knob space and network options.
-  util::Status LoadModel(const std::string& prefix);
+  /// Restores a model saved with SaveModel into a tuner built with the same
+  /// knob space and network options (any seed: the file's streams are
+  /// adopted). All or nothing: on any error the tuner is unchanged.
+  util::Status LoadModel(const std::string& path);
 
   /// Warm-starts the agent's replay memory from an accumulated experience
   /// pool (Section 2.1.1, Incremental Training), then runs

@@ -1,12 +1,13 @@
 #ifndef CDBTUNE_TUNER_METRICS_COLLECTOR_H_
 #define CDBTUNE_TUNER_METRICS_COLLECTOR_H_
 
-#include <iosfwd>
 #include <vector>
 
 #include "env/metrics.h"
+#include "persist/encoding.h"
 #include "tuner/reward.h"
 #include "util/stats.h"
+#include "util/status.h"
 
 namespace cdbtune::tuner {
 
@@ -39,10 +40,12 @@ class MetricsCollector {
 
   size_t observations() const { return standardizer_.count(); }
 
-  /// Persists / restores the normalization statistics (part of a trained
+  /// Bit-exact codec for the normalization statistics (part of a trained
   /// model's state: the network expects inputs scaled the way it saw them).
-  void SaveState(std::ostream& os) const { standardizer_.SaveState(os); }
-  void LoadState(std::istream& is) { standardizer_.LoadState(is); }
+  /// LoadBinary returns kDataLoss on a short read or a dimension mismatch,
+  /// leaving this collector untouched.
+  void SaveBinary(persist::Encoder& enc) const;
+  util::Status LoadBinary(persist::Decoder& dec);
 
  private:
   util::VectorStandardizer standardizer_;

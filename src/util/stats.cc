@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <istream>
-#include <ostream>
 
 #include "util/check.h"
 
@@ -106,30 +104,6 @@ std::vector<double> VectorStandardizer::Transform(
     out[i] = sd > kMinStddev ? centered / sd : centered;
   }
   return out;
-}
-
-void VectorStandardizer::SaveState(std::ostream& os) const {
-  os << stats_.size() << "\n";
-  os.precision(17);
-  for (const RunningStat& s : stats_) {
-    os << s.count() << " " << s.mean() << " " << s.m2() << " " << s.min()
-       << " " << s.max() << "\n";
-  }
-}
-
-void VectorStandardizer::LoadState(std::istream& is) {
-  size_t dim = 0;
-  is >> dim;
-  CDBTUNE_CHECK(dim == stats_.size())
-      << "standardizer dimension mismatch: file " << dim << " vs "
-      << stats_.size();
-  for (RunningStat& s : stats_) {
-    size_t count = 0;
-    double mean = 0, m2 = 0, lo = 0, hi = 0;
-    is >> count >> mean >> m2 >> lo >> hi;
-    s.RestoreMoments(count, mean, m2, lo, hi);
-  }
-  CDBTUNE_CHECK(!is.fail()) << "malformed standardizer state";
 }
 
 double Ema::Add(double x) {

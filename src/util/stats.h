@@ -2,7 +2,7 @@
 #define CDBTUNE_UTIL_STATS_H_
 
 #include <cstddef>
-#include <iosfwd>
+#include <utility>
 #include <vector>
 
 namespace cdbtune::util {
@@ -80,10 +80,12 @@ class VectorStandardizer {
   size_t dim() const { return stats_.size(); }
   size_t count() const { return stats_.empty() ? 0 : stats_[0].count(); }
 
-  /// Persists / restores the per-dimension statistics, so a trained model's
-  /// input normalization travels with its network weights.
-  void SaveState(std::ostream& os) const;
-  void LoadState(std::istream& is);
+  /// Per-dimension statistics for tuner::MetricsCollector's model codec.
+  /// RestoreStats requires `stats.size() == dim()`.
+  const std::vector<RunningStat>& stats() const { return stats_; }
+  void RestoreStats(std::vector<RunningStat> stats) {
+    stats_ = std::move(stats);
+  }
 
  private:
   std::vector<RunningStat> stats_;

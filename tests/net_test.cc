@@ -393,17 +393,20 @@ TEST(TcpServerTest, SlowLorisClientIsDroppedWithoutBlockingOthers) {
   ASSERT_EQ(::setsockopt(loris->fd(), SOL_SOCKET, SO_RCVBUF, &tiny,
                          sizeof(tiny)),
             0);
-  std::atomic<bool> loris_done{false};
+  // How many replies the drop takes is set by the kernel, not the test: the
+  // loopback send buffer autotunes to megabytes and SO_RCVBUF only shrinks
+  // the loris's window after the handshake, so up to ~4 MB of 21-byte PING
+  // replies can be in flight before the 512-byte queue overflows — seconds
+  // of server work, more under a sanitizer. So the test waits for the drop
+  // itself; the ctest TIMEOUT on this binary is the hang guard if the
+  // server ever stops shedding.
   std::thread flood([&] {
-    // Write request frames until the server drops us (send fails). Bounded
-    // volume so a regression fails the test instead of wedging it.
+    // Write request frames until the socket is shut down or reset.
     const std::string ping = EncodeFrame(FrameType::kRequest, "PING");
     std::string chunk;
     for (int i = 0; i < 64; ++i) chunk += ping;
-    for (int i = 0; i < 4096; ++i) {
-      if (!loris->SendBytes(chunk).ok()) break;
+    while (loris->SendBytes(chunk).ok()) {
     }
-    loris_done.store(true);
   });
 
   // Meanwhile a well-behaved client keeps getting served, and eventually
@@ -411,15 +414,20 @@ TEST(TcpServerTest, SlowLorisClientIsDroppedWithoutBlockingOthers) {
   auto observer = ConnectTo(fixture);
   ASSERT_NE(observer, nullptr);
   bool dropped = false;
-  for (int i = 0; i < 2000 && !dropped; ++i) {
+  while (!dropped) {
     auto status = observer->Call("STATUS");
-    ASSERT_TRUE(status.ok()) << status.status().ToString();
+    if (!status.ok()) {
+      ADD_FAILURE() << "observer not served: " << status.status().ToString();
+      break;
+    }
     dropped = status->find("tcp_sendq_drops=0") == std::string::npos;
     if (!dropped) std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-  EXPECT_TRUE(dropped) << "slow-loris connection was never shed";
+  // The server's close reaches a sender stalled on a zero window only at
+  // its next window probe, which backs off for seconds; shutting the
+  // socket down locally fails the blocked send at once.
+  ::shutdown(loris->fd(), SHUT_RDWR);
   flood.join();
-  EXPECT_TRUE(loris_done.load());
   fixture.front->Stop();
 }
 

@@ -1,11 +1,12 @@
 #include <cmath>
 #include <memory>
-#include <sstream>
+#include <string>
 
 #include "gtest/gtest.h"
 #include "nn/layer.h"
 #include "nn/optimizer.h"
 #include "nn/sequential.h"
+#include "persist/encoding.h"
 #include "util/random.h"
 
 namespace cdbtune::nn {
@@ -294,16 +295,19 @@ TEST(SequentialTest, SaveLoadRoundTrip) {
   // Push some data through so BatchNorm running stats are non-trivial.
   original.Forward(Matrix::RandomGaussian(16, 3, 2.0, 1.0, rng), true);
 
-  std::stringstream buffer;
-  original.Save(buffer);
+  persist::Encoder enc;
+  original.SaveBinary(enc);
   Sequential restored = build();
-  restored.Load(buffer);
+  persist::Decoder dec(enc.bytes());
+  ASSERT_TRUE(restored.LoadBinary(dec).ok());
+  EXPECT_TRUE(dec.Done());
 
+  // The codec is bit-exact, so eval-mode outputs match exactly.
   Matrix probe = Matrix::RandomGaussian(4, 3, 0.0, 1.0, rng);
   Matrix y1 = original.Forward(probe, false);
   Matrix y2 = restored.Forward(probe, false);
   for (size_t r = 0; r < y1.rows(); ++r) {
-    EXPECT_NEAR(y1.at(r, 0), y2.at(r, 0), 1e-12);
+    EXPECT_EQ(y1.at(r, 0), y2.at(r, 0));
   }
 }
 
@@ -319,20 +323,16 @@ TEST(SequentialTest, LoadRejectsWrongArchitecture) {
   util::Rng rng(30);
   Sequential a;
   a.Add(std::make_unique<Linear>(2, 3, rng));
-  std::stringstream buffer;
-  a.Save(buffer);
+  persist::Encoder enc;
+  a.SaveBinary(enc);
   Sequential b;
   b.Add(std::make_unique<Linear>(2, 3, rng));
   b.Add(std::make_unique<Tanh>());
-  EXPECT_DEATH(b.Load(buffer), "layers");
-}
-
-TEST(SequentialTest, SaveToMissingDirectoryFails) {
-  util::Rng rng(31);
-  Sequential net;
-  net.Add(std::make_unique<Linear>(1, 1, rng));
-  EXPECT_FALSE(net.SaveToFile("/nonexistent/dir/model").ok());
-  EXPECT_FALSE(net.LoadFromFile("/nonexistent/dir/model").ok());
+  persist::Decoder dec(enc.bytes());
+  util::Status loaded = b.LoadBinary(dec);
+  EXPECT_EQ(loaded.code(), util::StatusCode::kDataLoss);
+  EXPECT_NE(loaded.message().find("layers"), std::string::npos)
+      << loaded.ToString();
 }
 
 TEST(SequentialTest, CopyStateIncludesBatchNormBuffers) {

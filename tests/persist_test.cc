@@ -1,18 +1,22 @@
 // Tests for the crash-safe checkpoint subsystem (src/persist, DESIGN.md §9):
 // the byte codec, CRC-guarded chunk container, torn-write detection at every
-// byte offset, generation fallback, and full-agent resume equivalence.
+// byte offset, generation fallback, full-agent resume equivalence, and the
+// all-or-nothing model file behind CdbTuner::SaveModel/LoadModel.
 #include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "checkpoint_mutants.h"
+#include "env/simulated_cdb.h"
 #include "gtest/gtest.h"
 #include "persist/atomic_file.h"
 #include "persist/chunk.h"
 #include "persist/crc32.h"
 #include "persist/encoding.h"
 #include "rl/ddpg.h"
+#include "tuner/cdbtune.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 
@@ -428,20 +432,19 @@ void Drive(rl::DdpgAgent& agent, util::Rng& env_rng, int steps) {
 /// configuration under which determinism must hold.
 void ExpectResumeEquivalence(size_t threads) {
   util::ComputeContext::Get().SetThreads(threads);
-  const std::string path = TempPath("agent_" + std::to_string(threads));
   const int k = 90;  // Past the 64-slot replay capacity: ring has wrapped.
   const int extra = 40;
 
   rl::DdpgAgent live(SmallDdpg());
   util::Rng env_rng(4321);
   Drive(live, env_rng, k);
-  ASSERT_TRUE(live.Save(path).ok());
+  const std::string checkpoint = SerializeAgent(live);
   const std::string env_state = env_rng.SerializeState();
   Drive(live, env_rng, extra);
   const std::string uninterrupted = SerializeAgent(live);
 
   rl::DdpgAgent resumed(SmallDdpg());
-  ASSERT_TRUE(resumed.Load(path).ok());
+  ASSERT_TRUE(resumed.RestoreFromChunks(MustParse(checkpoint)).ok());
   util::Rng env_rng2(0);
   ASSERT_TRUE(env_rng2.RestoreState(env_state));
   Drive(resumed, env_rng2, extra);
@@ -449,7 +452,6 @@ void ExpectResumeEquivalence(size_t threads) {
 
   EXPECT_EQ(uninterrupted, after_restore)
       << "restored agent diverged from the uninterrupted one";
-  std::remove((path + ".agent").c_str());
   util::ComputeContext::Get().SetThreads(0);
 }
 
@@ -462,161 +464,248 @@ TEST(AgentCheckpointTest, ResumeBitwiseEquivalentFourThreads) {
 }
 
 TEST(AgentCheckpointTest, SaveCapturesTargetsOptimizerNoiseAndReplay) {
-  // The old Save/Load dropped target nets, optimizer moments, replay and
-  // noise; a round-trip through the chunk format must preserve every chunk
-  // bitwise, so Save -> Load -> Save is a fixed point.
-  const std::string path = TempPath("fidelity");
+  // A round-trip through the chunk format must preserve every chunk
+  // bitwise, so AppendChunks -> RestoreFromChunks -> AppendChunks is a
+  // fixed point.
   rl::DdpgAgent agent(SmallDdpg());
   util::Rng env_rng(5);
   Drive(agent, env_rng, 30);
-  ASSERT_TRUE(agent.Save(path).ok());
   const std::string first = SerializeAgent(agent);
 
   rl::DdpgAgent loaded(SmallDdpg());
-  ASSERT_TRUE(loaded.Load(path).ok());
+  ASSERT_TRUE(loaded.RestoreFromChunks(MustParse(first)).ok());
   EXPECT_EQ(SerializeAgent(loaded), first);
   EXPECT_EQ(loaded.replay_size(), agent.replay_size());
-  std::remove((path + ".agent").c_str());
-}
-
-TEST(AgentCheckpointTest, CorruptCheckpointLeavesAgentUntouched) {
-  const std::string path = TempPath("corrupt");
-  rl::DdpgAgent agent(SmallDdpg());
-  util::Rng env_rng(6);
-  Drive(agent, env_rng, 20);
-  ASSERT_TRUE(agent.Save(path).ok());
-
-  auto bytes = ReadFile(path + ".agent");
-  ASSERT_TRUE(bytes.ok());
-  std::string corrupt = *bytes;
-  corrupt[corrupt.size() / 2] ^= 0x10;
-  ASSERT_TRUE(AtomicWriteFile(path + ".agent", corrupt).ok());
-
-  rl::DdpgAgent victim(SmallDdpg());
-  Drive(victim, env_rng, 5);
-  const std::string before = SerializeAgent(victim);
-  util::Status loaded = victim.Load(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.code(), util::StatusCode::kDataLoss);
-  // No partially-applied state: the failed load changed nothing.
-  EXPECT_EQ(SerializeAgent(victim), before);
-  std::remove((path + ".agent").c_str());
 }
 
 TEST(AgentCheckpointTest, OptionsMismatchIsRejectedBeforeAnyMutation) {
-  const std::string path = TempPath("mismatch");
   rl::DdpgAgent agent(SmallDdpg());
-  ASSERT_TRUE(agent.Save(path).ok());
+  const ChunkFile file = MustParse(SerializeAgent(agent));
 
   rl::DdpgOptions other = SmallDdpg();
   other.actor_hidden = {8, 8};
   rl::DdpgAgent different(other);
   const std::string before = SerializeAgent(different);
-  util::Status loaded = different.Load(path);
+  util::Status loaded = different.RestoreFromChunks(file);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.code(), util::StatusCode::kDataLoss);
   EXPECT_NE(loaded.message().find("actor_hidden"), std::string::npos);
   EXPECT_EQ(SerializeAgent(different), before);
-  std::remove((path + ".agent").c_str());
 }
 
-/// Rebuilds the container with chunk `name`'s payload swapped for `payload`.
-/// ChunkWriter recomputes every frame CRC, so the result passes Parse: the
-/// corruption is *semantic*, inside one chunk, and each decode path in
-/// RestoreFromChunks has to reject it on its own — the container CRC can't
-/// save it.
-std::string RebuildWithPayload(const ChunkFile& file, const std::string& name,
-                               const std::string& payload) {
-  ChunkWriter writer;
-  for (const std::string& n : file.Names()) {
-    auto original = file.Get(n);
-    EXPECT_TRUE(original.ok());
-    writer.Add(n, n == name ? payload : std::string(*original));
-  }
-  auto bytes = writer.Finish();
-  EXPECT_TRUE(bytes.ok());
-  return *bytes;
-}
-
-// Fuzz-style sweep: every chunk of a real checkpoint, truncated at several
-// lengths and replaced with fixed-seed garbage. Every mutant must surface as
-// a Status (no crash), and at the Load level must leave the target agent
-// bitwise untouched.
+// Fuzz-style sweep: every chunk of a real agent checkpoint, truncated at
+// several lengths and replaced with fixed-seed garbage. Every mutant must
+// surface as a Status (no crash). The model-file sweep below covers the
+// all-or-nothing half through CdbTuner::LoadModel.
 TEST(AgentCheckpointTest, TruncatedOrGarbageChunkPayloadsFailCleanly) {
-  const std::string path = TempPath("fuzz");
   rl::DdpgAgent agent(SmallDdpg());
   util::Rng env_rng(7);
   Drive(agent, env_rng, 12);
   ChunkFile file = MustParse(SerializeAgent(agent));
-
-  rl::DdpgAgent victim(SmallDdpg());
-  Drive(victim, env_rng, 3);
-  const std::string before = SerializeAgent(victim);
 
   util::Rng garbage_rng(99);
   for (const std::string& name : file.Names()) {
     auto original = file.Get(name);
     ASSERT_TRUE(original.ok());
     const std::string payload(*original);
-
-    std::vector<std::string> mutants;
-    for (size_t len : {size_t{0}, size_t{1}, payload.size() / 2,
-                       payload.empty() ? size_t{0} : payload.size() - 1}) {
-      if (len < payload.size()) mutants.push_back(payload.substr(0, len));
-    }
-    std::string garbage(payload.size() + 16, '\0');
-    for (char& c : garbage) {
-      c = static_cast<char>(garbage_rng.UniformInt(0, 255));
-    }
-    mutants.push_back(garbage);
-
+    const std::vector<std::string> mutants =
+        tests::PayloadMutants(payload, garbage_rng);
     for (size_t m = 0; m < mutants.size(); ++m) {
-      const std::string container = RebuildWithPayload(file, name, mutants[m]);
-      ChunkFile mutated = MustParse(container);
-
-      // RestoreFromChunks itself: a Status comes back, nothing throws.
+      ChunkFile mutated =
+          MustParse(tests::RebuildWithPayload(file, name, mutants[m]));
       rl::DdpgAgent scratch(SmallDdpg());
-      util::Status direct = scratch.RestoreFromChunks(mutated);
-      EXPECT_FALSE(direct.ok())
+      EXPECT_FALSE(scratch.RestoreFromChunks(mutated).ok())
           << "chunk " << name << " mutant " << m
           << " (payload " << mutants[m].size() << "B of " << payload.size()
           << "B) restored successfully";
-
-      // Load: validate-then-apply means the victim stays bitwise intact.
-      ASSERT_TRUE(AtomicWriteFile(path + ".agent", container).ok());
-      util::Status loaded = victim.Load(path);
-      EXPECT_FALSE(loaded.ok());
-      EXPECT_EQ(SerializeAgent(victim), before)
-          << "chunk " << name << " mutant " << m
-          << " partially applied through Load";
     }
   }
-  std::remove((path + ".agent").c_str());
 }
 
-// A shared model checkpoint must be loadable into agents constructed with any
-// seed: `seed` only names the initial rng/noise streams, and Load restores the
-// live stream state from the checkpoint. After Load the adopter is bitwise
-// identical to the saver — including the options chunk — and stays identical
-// under further training.
-TEST(AgentCheckpointTest, LoadAcceptsDifferentConstructionSeed) {
-  const std::string path = TempPath("seed_adopt");
-  rl::DdpgAgent agent(SmallDdpg());
-  util::Rng env_rng(5);
-  Drive(agent, env_rng, 20);
-  ASSERT_TRUE(agent.Save(path).ok());
+// --- Model files (CdbTuner::SaveModel / LoadModel) ---------------------------
 
-  rl::DdpgOptions other = SmallDdpg();
-  other.seed = 9001;
-  rl::DdpgAgent adopter(other);
-  ASSERT_TRUE(adopter.Load(path).ok());
-  EXPECT_EQ(SerializeAgent(adopter), SerializeAgent(agent));
+/// A tuner over the full 63-metric state and MySQL knob space with narrow
+/// networks, so model files stay small and the sweeps stay fast.
+struct SmallTuner {
+  std::unique_ptr<env::SimulatedCdb> db;
+  std::unique_ptr<tuner::CdbTuner> tuner;
+};
 
-  util::Rng rng_a(6), rng_b(6);
-  Drive(agent, rng_a, 15);
-  Drive(adopter, rng_b, 15);
-  EXPECT_EQ(SerializeAgent(adopter), SerializeAgent(agent));
-  std::remove((path + ".agent").c_str());
+SmallTuner MakeTuner(uint64_t seed, int offline_steps) {
+  SmallTuner t;
+  t.db = env::SimulatedCdb::MysqlCdb(env::CdbA(), seed);
+  tuner::CdbTuneOptions options;
+  options.ddpg.actor_hidden = {16, 16};
+  options.ddpg.critic_embed = 16;
+  options.ddpg.critic_hidden = {16};
+  options.ddpg.batch_size = 8;
+  options.ddpg.replay_capacity = 64;
+  options.max_offline_steps = offline_steps;
+  options.steps_per_episode = 6;
+  options.seed = seed;
+  t.tuner = std::make_unique<tuner::CdbTuner>(
+      t.db.get(), knobs::KnobSpace::AllTunable(&t.db->registry()), options);
+  if (offline_steps > 0) t.tuner->OfflineTrain(workload::SysbenchReadWrite());
+  return t;
+}
+
+/// Everything the tuner persists, as bytes: equal bytes mean equal weights,
+/// optimizer moments, replay, streams, statistics and best action.
+std::string ModelBytes(const tuner::CdbTuner& t) {
+  const std::string path = TempPath("model_bytes");
+  EXPECT_TRUE(t.SaveModel(path).ok());
+  auto bytes = ReadFile(path);
+  EXPECT_TRUE(bytes.ok()) << bytes.status().ToString();
+  std::remove(path.c_str());
+  return bytes.ok() ? *bytes : std::string();
+}
+
+/// The tuner's greedy recommendation for a fixed standardized state.
+std::vector<double> Recommendation(tuner::CdbTuner& t) {
+  const std::vector<double> probe(env::kNumInternalMetrics, 0.3);
+  return t.agent().SelectAction(probe, /*explore=*/false);
+}
+
+/// `path` must fail to load into `victim` and leave it exactly as it was.
+void ExpectLoadRejected(tuner::CdbTuner& victim, const std::string& path,
+                        const std::string& what) {
+  const std::string before = ModelBytes(victim);
+  const std::vector<double> recommended = Recommendation(victim);
+  util::Status loaded = victim.LoadModel(path);
+  EXPECT_FALSE(loaded.ok()) << what << " loaded successfully";
+  EXPECT_EQ(Recommendation(victim), recommended)
+      << what << " changed the tuner's recommendation";
+  EXPECT_EQ(ModelBytes(victim), before) << what << " partially applied";
+}
+
+TEST(ModelFileTest, CorruptFileLeavesTunerUntouched) {
+  const std::string path = TempPath("model_corrupt");
+  SmallTuner trained = MakeTuner(5, 12);
+  ASSERT_TRUE(trained.tuner->SaveModel(path).ok());
+  auto bytes = ReadFile(path);
+  ASSERT_TRUE(bytes.ok());
+  std::string corrupt = *bytes;
+  corrupt[corrupt.size() / 2] ^= 0x10;
+  ASSERT_TRUE(AtomicWriteFile(path, corrupt).ok());
+
+  SmallTuner victim = MakeTuner(6, 6);
+  ExpectLoadRejected(*victim.tuner, path, "bit-flipped model file");
+  EXPECT_EQ(victim.tuner->LoadModel(path).code(), util::StatusCode::kDataLoss);
+  std::remove(path.c_str());
+}
+
+TEST(ModelFileTest, TornFileLeavesTunerUntouched) {
+  const std::string path = TempPath("model_torn");
+  SmallTuner trained = MakeTuner(5, 12);
+  ASSERT_TRUE(trained.tuner->SaveModel(path).ok());
+  auto bytes = ReadFile(path);
+  ASSERT_TRUE(bytes.ok());
+  const std::string full = *bytes;
+
+  SmallTuner victim = MakeTuner(6, 6);
+  for (size_t len : {size_t{0}, kCheckpointMagicSize, full.size() / 2,
+                     full.size() - 1}) {
+    ASSERT_TRUE(AtomicWriteFile(path, full.substr(0, len)).ok());
+    ExpectLoadRejected(*victim.tuner, path,
+                       "model file torn at " + std::to_string(len) + "B");
+  }
+  std::remove(path.c_str());
+}
+
+// One model file loads into tuners constructed with any seed: `seed` only
+// names the initial rng/noise streams, and LoadModel adopts the file's live
+// streams. Afterwards the adopter is bitwise identical to the saver and stays
+// identical under further training.
+TEST(ModelFileTest, LoadAcceptsDifferentConstructionSeed) {
+  const std::string path = TempPath("model_seed_adopt");
+  SmallTuner trained = MakeTuner(5, 12);
+  ASSERT_TRUE(trained.tuner->SaveModel(path).ok());
+
+  SmallTuner adopter = MakeTuner(9001, 0);
+  ASSERT_TRUE(adopter.tuner->LoadModel(path).ok());
+  EXPECT_EQ(ModelBytes(*adopter.tuner), ModelBytes(*trained.tuner));
+
+  const std::vector<double> probe(env::kNumInternalMetrics, 0.1);
+  for (tuner::CdbTuner* t : {trained.tuner.get(), adopter.tuner.get()}) {
+    for (int i = 0; i < 5; ++i) {
+      t->agent().SelectAction(probe, /*explore=*/true);
+      t->agent().TrainStep();
+    }
+  }
+  EXPECT_EQ(ModelBytes(*adopter.tuner), ModelBytes(*trained.tuner));
+  std::remove(path.c_str());
+}
+
+// The model-file sweep: every chunk of a SaveModel file, truncated and
+// replaced with garbage inside a re-CRC'd container. LoadModel must return a
+// Status for each and leave the victim bitwise untouched.
+TEST(ModelFileTest, TruncatedOrGarbageChunkPayloadsFailCleanly) {
+  const std::string path = TempPath("model_fuzz");
+  SmallTuner trained = MakeTuner(5, 12);
+  ChunkFile file = MustParse(ModelBytes(*trained.tuner));
+  ASSERT_TRUE(file.Has("model/meta"));
+
+  SmallTuner victim = MakeTuner(6, 6);
+  util::Rng garbage_rng(99);
+  for (const std::string& name : file.Names()) {
+    auto original = file.Get(name);
+    ASSERT_TRUE(original.ok());
+    const std::vector<std::string> mutants =
+        tests::PayloadMutants(std::string(*original), garbage_rng);
+    for (size_t m = 0; m < mutants.size(); ++m) {
+      ASSERT_TRUE(AtomicWriteFile(
+          path, tests::RebuildWithPayload(file, name, mutants[m])).ok());
+      ExpectLoadRejected(*victim.tuner, path,
+                         "chunk " + name + " mutant " + std::to_string(m));
+    }
+  }
+  std::remove(path.c_str());
+}
+
+// Well-formed meta chunks carrying values the tuner cannot use: collector
+// statistics of the wrong dimension, and a best action that is neither
+// empty nor one entry per knob (which would abort the first tuning session
+// that deploys it). Both are kDataLoss at load time.
+TEST(ModelFileTest, MetaOfWrongShapeIsDataLoss) {
+  const std::string path = TempPath("model_meta_shape");
+  SmallTuner trained = MakeTuner(5, 12);
+  ChunkFile file = MustParse(ModelBytes(*trained.tuner));
+  SmallTuner victim = MakeTuner(6, 6);
+
+  Encoder wrong_dim;
+  wrong_dim.WriteU64(7);
+  for (int i = 0; i < 7; ++i) {
+    wrong_dim.WriteU64(3);
+    for (int f = 0; f < 4; ++f) wrong_dim.WriteDouble(1.0);
+  }
+  wrong_dim.WriteDouble(1.0);
+  wrong_dim.WriteDoubleVec({});
+
+  Encoder short_action;
+  trained.tuner->collector().SaveBinary(short_action);
+  short_action.WriteDouble(1.0);
+  short_action.WriteDoubleVec({0.5, 0.5, 0.5});
+
+  for (const Encoder* meta : {&wrong_dim, &short_action}) {
+    ASSERT_TRUE(AtomicWriteFile(path, tests::RebuildWithPayload(
+                                          file, "model/meta", meta->bytes()))
+                    .ok());
+    ExpectLoadRejected(*victim.tuner, path, "reshaped model/meta");
+    EXPECT_EQ(victim.tuner->LoadModel(path).code(),
+              util::StatusCode::kDataLoss);
+  }
+  std::remove(path.c_str());
+}
+
+// An agent-only checkpoint (no model/meta chunk) is not a model file.
+TEST(ModelFileTest, AgentOnlyCheckpointIsRejected) {
+  const std::string path = TempPath("model_agent_only");
+  SmallTuner trained = MakeTuner(5, 12);
+  ASSERT_TRUE(
+      AtomicWriteFile(path, SerializeAgent(trained.tuner->agent())).ok());
+  SmallTuner victim = MakeTuner(6, 6);
+  ExpectLoadRejected(*victim.tuner, path, "agent-only checkpoint");
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -4,7 +4,6 @@
 // under randomized operation streams, and serialization round trips across
 // network shapes.
 #include <cmath>
-#include <sstream>
 
 #include "gtest/gtest.h"
 #include "engine/mini_cdb.h"
@@ -244,12 +243,14 @@ TEST_P(DdpgShapeTest, SaveLoadPreservesPolicyForAnyShape) {
   }
   for (int i = 0; i < 3; ++i) agent.TrainStep();
 
-  std::string prefix = ::testing::TempDir() + "/ddpg_shape_" +
-                       std::to_string(state_dim) + "_" +
-                       std::to_string(action_dim);
-  ASSERT_TRUE(agent.Save(prefix).ok());
+  persist::ChunkWriter writer;
+  agent.AppendChunks(writer);
+  auto bytes = writer.Finish();
+  ASSERT_TRUE(bytes.ok());
+  auto file = persist::ChunkFile::Parse(*std::move(bytes));
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
   rl::DdpgAgent restored(o);
-  ASSERT_TRUE(restored.Load(prefix).ok());
+  ASSERT_TRUE(restored.RestoreFromChunks(*file).ok());
   std::vector<double> probe(state_dim, 0.3);
   EXPECT_EQ(agent.SelectAction(probe, false),
             restored.SelectAction(probe, false));

@@ -313,10 +313,14 @@ TEST(DdpgTest, SaveLoadRoundTrip) {
   for (int i = 0; i < 20; ++i) agent.Observe(MakeTransition(i * 0.1, 4, 3));
   for (int i = 0; i < 5; ++i) agent.TrainStep();
 
-  std::string prefix = ::testing::TempDir() + "/ddpg_model";
-  ASSERT_TRUE(agent.Save(prefix).ok());
+  persist::ChunkWriter writer;
+  agent.AppendChunks(writer);
+  auto bytes = writer.Finish();
+  ASSERT_TRUE(bytes.ok());
+  auto file = persist::ChunkFile::Parse(*std::move(bytes));
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
   DdpgAgent restored(SmallDdpg());
-  ASSERT_TRUE(restored.Load(prefix).ok());
+  ASSERT_TRUE(restored.RestoreFromChunks(*file).ok());
   std::vector<double> state{0.3, 0.1, -0.2, 0.9};
   EXPECT_EQ(agent.SelectAction(state, false),
             restored.SelectAction(state, false));

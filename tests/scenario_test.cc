@@ -1,5 +1,4 @@
 #include <memory>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -234,17 +233,13 @@ TEST(GuardedSessionTest, GuardrailStateSurvivesCheckpointBitwise) {
   ASSERT_EQ(a.session->guardrail()->rollbacks(), 1);
 
   persist::Encoder mid;
+  a.collector->SaveBinary(mid);
   a.session->SaveBinary(mid);
-  std::ostringstream collector_state;
-  a.collector->SaveState(collector_state);
 
   // Restore into a fresh world: same seed, same degrade, same options.
   GuardedRun b = MakeGuardedRun(413, options);
-  {
-    std::istringstream in(collector_state.str());
-    b.collector->LoadState(in);
-  }
   persist::Decoder dec(mid.bytes());
+  ASSERT_TRUE(b.collector->LoadBinary(dec).ok());
   ASSERT_TRUE(b.session->RestoreBinary(dec).ok());
   EXPECT_EQ(b.session->guardrail()->rollbacks(), 1);
   EXPECT_EQ(b.session->guardrail()->trust_width(),

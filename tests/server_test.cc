@@ -3,6 +3,7 @@
 #include <string>
 #include <vector>
 
+#include "checkpoint_mutants.h"
 #include "gtest/gtest.h"
 #include "persist/atomic_file.h"
 #include "server/dispatch.h"
@@ -672,6 +673,83 @@ TEST(CheckpointTest, CorruptCheckpointLeavesServerUntouched) {
   auto id = victim.Open(TestSpecs(1)[0]);
   ASSERT_TRUE(id.ok()) << id.status().ToString();
   EXPECT_TRUE(victim.Step(*id).ok());
+  RemoveGenerations(path);
+}
+
+// The server-checkpoint sweep: every chunk of a real checkpoint holding one
+// plain and one guarded sim session, truncated and replaced with garbage in
+// a re-CRC'd container, plus two well-formed server/model_meta chunks the
+// model cannot use (collector statistics of the wrong dimension, a best
+// action of length 3). Each must fail RestoreCheckpoint with a Status rather
+// than abort — then or at a later ROUND — and leave the target without
+// sessions or model; afterwards the same target restores the good
+// checkpoint and steps.
+TEST(CheckpointTest, TruncatedOrGarbageChunkPayloadsFailCleanly) {
+  const std::string good = CheckpointPath("sweep_good");
+  const std::string path = CheckpointPath("sweep");
+  RemoveGenerations(good);
+  RemoveGenerations(path);
+  {
+    TuningServer donor;
+    ASSERT_TRUE(donor.AdoptModel(SharedTrainedTuner()).ok());
+    std::vector<SessionSpec> specs = TestSpecs(2);
+    specs[1].safety = 1;
+    for (const SessionSpec& spec : specs) ASSERT_TRUE(donor.Open(spec).ok());
+    ASSERT_TRUE(donor.StepRound().ok());
+    ASSERT_TRUE(donor.SaveCheckpoint(good).ok());
+  }
+  auto parsed = persist::ChunkFile::Parse(FileBytes(good));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const persist::ChunkFile& file = *parsed;
+
+  TuningServer target;
+  auto restore_mutant = [&](const std::string& name,
+                            const std::string& payload) {
+    EXPECT_TRUE(persist::AtomicWriteFile(
+                    path, tests::RebuildWithPayload(file, name, payload))
+                    .ok());
+    auto report = target.RestoreCheckpoint(path);
+    EXPECT_FALSE(report.ok()) << "mutated " << name << " ("
+                              << payload.size() << "B) restored";
+    EXPECT_EQ(target.open_sessions(), 0u) << name;
+    EXPECT_FALSE(target.model_ready()) << name;
+    return report.status().code();
+  };
+
+  util::Rng garbage_rng(99);
+  for (const std::string& name : file.Names()) {
+    auto original = file.Get(name);
+    ASSERT_TRUE(original.ok());
+    for (const std::string& mutant :
+         tests::PayloadMutants(std::string(*original), garbage_rng)) {
+      restore_mutant(name, mutant);
+    }
+  }
+
+  tuner::CdbTuner& model = SharedTrainedTuner();
+  persist::Encoder wrong_dim;
+  wrong_dim.WriteU64(7);
+  for (int i = 0; i < 7; ++i) {
+    wrong_dim.WriteU64(3);
+    for (int f = 0; f < 4; ++f) wrong_dim.WriteDouble(1.0);
+  }
+  wrong_dim.WriteDoubleVec(model.best_offline_action());
+  EXPECT_EQ(restore_mutant("server/model_meta", wrong_dim.bytes()),
+            util::StatusCode::kDataLoss);
+
+  persist::Encoder short_action;
+  model.collector().SaveBinary(short_action);
+  short_action.WriteDoubleVec({0.5, 0.5, 0.5});
+  EXPECT_EQ(restore_mutant("server/model_meta", short_action.bytes()),
+            util::StatusCode::kDataLoss);
+
+  auto report = target.RestoreCheckpoint(good);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->sessions, 2u);
+  auto stepped = target.StepRound();
+  ASSERT_TRUE(stepped.ok()) << stepped.status().ToString();
+  EXPECT_EQ(*stepped, 2u);
+  RemoveGenerations(good);
   RemoveGenerations(path);
 }
 

@@ -301,17 +301,26 @@ TEST(CdbTunerTest, SaveLoadModelRoundTrip) {
   auto space = knobs::KnobSpace::AllTunable(&db->registry());
   CdbTuner trained(db.get(), space, FastOptions());
   trained.OfflineTrain(workload::SysbenchReadWrite());
-  std::string prefix = ::testing::TempDir() + "/cdbtune_model";
-  ASSERT_TRUE(trained.SaveModel(prefix).ok());
+  std::string path = ::testing::TempDir() + "/cdbtune_model";
+  ASSERT_TRUE(trained.SaveModel(path).ok());
 
   auto db2 = env::SimulatedCdb::MysqlCdb(env::CdbA(), 12);
   CdbTuner restored(db2.get(), space, FastOptions());
-  ASSERT_TRUE(restored.LoadModel(prefix).ok());
-  // Identical policies and identical best-experience memory.
+  ASSERT_TRUE(restored.LoadModel(path).ok());
+  // Identical policies, identical best-experience memory, and identical
+  // input normalization — the network only works on inputs scaled the way
+  // it saw them in training.
   std::vector<double> state(env::kNumInternalMetrics, 0.2);
   EXPECT_EQ(trained.agent().SelectAction(state, false),
             restored.agent().SelectAction(state, false));
   EXPECT_EQ(trained.best_offline_action(), restored.best_offline_action());
+  ASSERT_GT(trained.collector().observations(), 1u);
+  EXPECT_EQ(restored.collector().observations(),
+            trained.collector().observations());
+  std::vector<double> raw(env::kNumInternalMetrics);
+  for (size_t i = 0; i < raw.size(); ++i) raw[i] = 100.0 * i + 0.5;
+  EXPECT_EQ(trained.collector().Standardize(raw),
+            restored.collector().Standardize(raw));
   // The restored model serves a tuning request.
   db2->Reset();
   auto result = restored.OnlineTune(workload::SysbenchReadWrite());
