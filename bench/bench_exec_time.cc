@@ -65,7 +65,7 @@ void BM_Recommendation(benchmark::State& state) {
   rl::DdpgAgent agent(PaperDdpg());
   std::vector<double> s(63, 0.1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(agent.SelectAction(s, false));
+    benchmark::DoNotOptimize(agent.SelectAction(s, nullptr));
   }
 }
 BENCHMARK(BM_Recommendation)->Unit(benchmark::kMicrosecond);

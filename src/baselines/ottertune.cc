@@ -155,9 +155,7 @@ std::vector<double> OtterTune::ScoreCandidates(
       opt.Step();
     }
     for (size_t c = 0; c < candidates.size(); ++c) {
-      nn::Matrix p = net.Forward(nn::Matrix::RowVector(candidates[c]),
-                                 /*training=*/false);
-      scores[c] = p.at(0, 0);
+      scores[c] = net.Infer(nn::Matrix::RowVector(candidates[c])).at(0, 0);
     }
     return scores;
   }

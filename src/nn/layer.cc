@@ -71,8 +71,12 @@ Linear::Linear(size_t in_features, size_t out_features, util::Rng& rng,
 }
 
 Matrix Linear::Forward(const Matrix& input, bool /*training*/) {
-  CDBTUNE_DCHECK_EQ(input.cols(), in_features());
   input_cache_ = input;
+  return Infer(input);
+}
+
+Matrix Linear::Infer(const Matrix& input) const {
+  CDBTUNE_DCHECK_EQ(input.cols(), in_features());
   return input.MatMulBias(weight_.value, bias_.value);
 }
 
@@ -90,19 +94,47 @@ Matrix Linear::Backward(const Matrix& grad_output, bool param_grads) {
   return grad_output.MatMulTransposedB(weight_.value);
 }
 
-Matrix Relu::Forward(const Matrix& input, bool /*training*/) {
-  if (!mask_.SameShape(input)) mask_ = Matrix(input.rows(), input.cols());
+namespace {
+
+/// The one rectifier behind Relu and LeakyRelu: y = x where x > 0, else
+/// `negative(x)`. A non-null `mask` also receives the gradient factor
+/// (1.0 where x > 0, else `negative_slope`) that Backward multiplies by.
+template <typename Negative>
+Matrix Rectify(const Matrix& input, Negative negative, double negative_slope,
+               Matrix* mask) {
   Matrix out(input.rows(), input.cols());
+  double* m = nullptr;
+  if (mask != nullptr) {
+    if (!mask->SameShape(input)) *mask = Matrix(input.rows(), input.cols());
+    m = mask->data();
+  }
   const double* x = input.data();
-  double* m = mask_.data();
   double* y = out.data();
   const size_t n = input.size();
   for (size_t i = 0; i < n; ++i) {
     const bool positive = x[i] > 0.0;
-    m[i] = positive ? 1.0 : 0.0;
-    y[i] = positive ? x[i] : 0.0;
+    if (m != nullptr) m[i] = positive ? 1.0 : negative_slope;
+    y[i] = positive ? x[i] : negative(x[i]);
   }
   return out;
+}
+
+Matrix ReluApply(const Matrix& input, Matrix* mask) {
+  return Rectify(input, [](double) { return 0.0; }, 0.0, mask);
+}
+
+Matrix LeakyReluApply(const Matrix& input, double slope, Matrix* mask) {
+  return Rectify(input, [slope](double x) { return slope * x; }, slope, mask);
+}
+
+}  // namespace
+
+Matrix Relu::Forward(const Matrix& input, bool /*training*/) {
+  return ReluApply(input, &mask_);
+}
+
+Matrix Relu::Infer(const Matrix& input) const {
+  return ReluApply(input, nullptr);
 }
 
 Matrix Relu::Backward(const Matrix& grad_output, bool /*param_grads*/) {
@@ -114,19 +146,11 @@ Matrix Relu::Backward(const Matrix& grad_output, bool /*param_grads*/) {
 }
 
 Matrix LeakyRelu::Forward(const Matrix& input, bool /*training*/) {
-  if (!mask_.SameShape(input)) mask_ = Matrix(input.rows(), input.cols());
-  Matrix out(input.rows(), input.cols());
-  const double slope = slope_;
-  const double* x = input.data();
-  double* m = mask_.data();
-  double* y = out.data();
-  const size_t n = input.size();
-  for (size_t i = 0; i < n; ++i) {
-    const bool positive = x[i] > 0.0;
-    m[i] = positive ? 1.0 : slope;
-    y[i] = positive ? x[i] : slope * x[i];
-  }
-  return out;
+  return LeakyReluApply(input, slope_, &mask_);
+}
+
+Matrix LeakyRelu::Infer(const Matrix& input) const {
+  return LeakyReluApply(input, slope_, nullptr);
 }
 
 Matrix LeakyRelu::Backward(const Matrix& grad_output, bool /*param_grads*/) {
@@ -138,8 +162,12 @@ Matrix LeakyRelu::Backward(const Matrix& grad_output, bool /*param_grads*/) {
 }
 
 Matrix Tanh::Forward(const Matrix& input, bool /*training*/) {
-  output_cache_ = input.Map([](double x) { return std::tanh(x); });
+  output_cache_ = Infer(input);
   return output_cache_;
+}
+
+Matrix Tanh::Infer(const Matrix& input) const {
+  return input.Map([](double x) { return std::tanh(x); });
 }
 
 Matrix Tanh::Backward(const Matrix& grad_output, bool /*param_grads*/) {
@@ -154,8 +182,12 @@ Matrix Tanh::Backward(const Matrix& grad_output, bool /*param_grads*/) {
 }
 
 Matrix Sigmoid::Forward(const Matrix& input, bool /*training*/) {
-  output_cache_ = input.Map([](double x) { return 1.0 / (1.0 + std::exp(-x)); });
+  output_cache_ = Infer(input);
   return output_cache_;
+}
+
+Matrix Sigmoid::Infer(const Matrix& input) const {
+  return input.Map([](double x) { return 1.0 / (1.0 + std::exp(-x)); });
 }
 
 Matrix Sigmoid::Backward(const Matrix& grad_output, bool /*param_grads*/) {
@@ -180,49 +212,60 @@ BatchNorm::BatchNorm(size_t features, double momentum, double epsilon)
 Matrix BatchNorm::Forward(const Matrix& input, bool training) {
   const size_t n = input.rows();
   const size_t f = input.cols();
-  CDBTUNE_CHECK(f == gamma_.value.cols())
-      << "BatchNorm feature mismatch: " << f << " vs " << gamma_.value.cols();
-
-  Matrix mean(1, f);
-  Matrix var(1, f);
-  if (training && n > 1) {
-    mean = input.MeanRows();
-    for (size_t r = 0; r < n; ++r) {
-      for (size_t c = 0; c < f; ++c) {
-        double d = input.at(r, c) - mean.at(0, c);
-        var.at(0, c) += d * d;
-      }
-    }
-    var.Scale(1.0 / static_cast<double>(n));
-    // Update running statistics (exponential moving average).
-    for (size_t c = 0; c < f; ++c) {
-      running_mean_.at(0, c) = (1.0 - momentum_) * running_mean_.at(0, c) +
-                               momentum_ * mean.at(0, c);
-      running_var_.at(0, c) =
-          (1.0 - momentum_) * running_var_.at(0, c) + momentum_ * var.at(0, c);
-    }
-  } else {
-    mean = running_mean_;
-    var = running_var_;
-  }
-
-  std_inv_ = Matrix(1, f);
-  for (size_t c = 0; c < f; ++c) {
-    std_inv_.at(0, c) = 1.0 / std::sqrt(var.at(0, c) + epsilon_);
-  }
-
-  x_hat_ = Matrix(n, f);
-  Matrix out(n, f);
-  for (size_t r = 0; r < n; ++r) {
-    for (size_t c = 0; c < f; ++c) {
-      double xh = (input.at(r, c) - mean.at(0, c)) * std_inv_.at(0, c);
-      x_hat_.at(r, c) = xh;
-      out.at(r, c) = gamma_.value.at(0, c) * xh + beta_.value.at(0, c);
-    }
-  }
   // In eval mode (or batch of one) the backward pass treats mean/var as
   // constants, which the cached x_hat_/std_inv_ already encode.
   training_backward_ = training && n > 1;
+  if (!training_backward_) {
+    return Normalize(input, running_mean_, running_var_, &std_inv_, &x_hat_);
+  }
+
+  const Matrix mean = input.MeanRows();
+  Matrix var(1, f);
+  for (size_t r = 0; r < n; ++r) {
+    for (size_t c = 0; c < f; ++c) {
+      double d = input.at(r, c) - mean.at(0, c);
+      var.at(0, c) += d * d;
+    }
+  }
+  var.Scale(1.0 / static_cast<double>(n));
+  Matrix out = Normalize(input, mean, var, &std_inv_, &x_hat_);
+  // Update running statistics (exponential moving average).
+  for (size_t c = 0; c < f; ++c) {
+    running_mean_.at(0, c) = (1.0 - momentum_) * running_mean_.at(0, c) +
+                             momentum_ * mean.at(0, c);
+    running_var_.at(0, c) =
+        (1.0 - momentum_) * running_var_.at(0, c) + momentum_ * var.at(0, c);
+  }
+  return out;
+}
+
+Matrix BatchNorm::Infer(const Matrix& input) const {
+  Matrix std_inv;
+  return Normalize(input, running_mean_, running_var_, &std_inv, nullptr);
+}
+
+Matrix BatchNorm::Normalize(const Matrix& input, const Matrix& mean,
+                            const Matrix& var, Matrix* std_inv,
+                            Matrix* x_hat) const {
+  const size_t n = input.rows();
+  const size_t f = input.cols();
+  CDBTUNE_CHECK(f == gamma_.value.cols())
+      << "BatchNorm feature mismatch: " << f << " vs " << gamma_.value.cols();
+
+  *std_inv = Matrix(1, f);
+  for (size_t c = 0; c < f; ++c) {
+    std_inv->at(0, c) = 1.0 / std::sqrt(var.at(0, c) + epsilon_);
+  }
+
+  if (x_hat != nullptr) *x_hat = Matrix(n, f);
+  Matrix out(n, f);
+  for (size_t r = 0; r < n; ++r) {
+    for (size_t c = 0; c < f; ++c) {
+      double xh = (input.at(r, c) - mean.at(0, c)) * std_inv->at(0, c);
+      if (x_hat != nullptr) x_hat->at(r, c) = xh;
+      out.at(r, c) = gamma_.value.at(0, c) * xh + beta_.value.at(0, c);
+    }
+  }
   return out;
 }
 
@@ -300,12 +343,33 @@ ParallelLinear::ParallelLinear(size_t left_in, size_t left_out,
       left_(left_in, left_out, rng, init),
       right_(right_in, right_out, rng, init) {}
 
-Matrix ParallelLinear::Forward(const Matrix& input, bool training) {
+namespace {
+
+/// ParallelLinear's one body for Forward and Infer: splits `input` at
+/// `left_in`, runs `apply(linear, half)` on each side and concatenates.
+template <typename LinearT, typename Apply>
+Matrix ApplySplit(const Matrix& input, size_t left_in, LinearT& left,
+                  LinearT& right, Apply apply) {
   Matrix left_x, right_x;
-  input.SplitCols(left_in_, &left_x, &right_x);
-  Matrix left_y = left_.Forward(left_x, training);
-  Matrix right_y = right_.Forward(right_x, training);
+  input.SplitCols(left_in, &left_x, &right_x);
+  Matrix left_y = apply(left, left_x);
+  Matrix right_y = apply(right, right_x);
   return left_y.ConcatCols(right_y);
+}
+
+}  // namespace
+
+Matrix ParallelLinear::Forward(const Matrix& input, bool training) {
+  return ApplySplit(input, left_in_, left_, right_,
+                    [training](Linear& linear, const Matrix& x) {
+                      return linear.Forward(x, training);
+                    });
+}
+
+Matrix ParallelLinear::Infer(const Matrix& input) const {
+  return ApplySplit(
+      input, left_in_, left_, right_,
+      [](const Linear& linear, const Matrix& x) { return linear.Infer(x); });
 }
 
 Matrix ParallelLinear::Backward(const Matrix& grad_output, bool param_grads) {
@@ -329,7 +393,7 @@ Dropout::Dropout(double rate, util::Rng& rng) : rate_(rate), rng_(&rng) {
 Matrix Dropout::Forward(const Matrix& input, bool training) {
   if (!training || rate_ == 0.0) {
     mask_valid_ = false;
-    return input;
+    return Infer(input);
   }
   const double keep = 1.0 - rate_;
   mask_ = Matrix(input.rows(), input.cols());
@@ -344,6 +408,8 @@ Matrix Dropout::Forward(const Matrix& input, bool training) {
   mask_valid_ = true;
   return out;
 }
+
+Matrix Dropout::Infer(const Matrix& input) const { return input; }
 
 Matrix Dropout::Backward(const Matrix& grad_output, bool /*param_grads*/) {
   if (!mask_valid_) return grad_output;

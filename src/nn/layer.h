@@ -45,13 +45,20 @@ enum class InitScheme {
 /// The library uses explicit forward/backward (no autograd tape): Forward
 /// caches whatever Backward needs; Backward receives dLoss/dOutput,
 /// accumulates into each Parameter::grad, and returns dLoss/dInput.
-/// A Forward must precede each Backward.
+/// A Forward must precede each Backward. Infer is the eval-mode forward
+/// for passes no Backward follows: it writes no member state, so any
+/// number of threads may run it on one layer at once.
 class Layer {
  public:
   virtual ~Layer() = default;
 
   /// `training` toggles BatchNorm batch statistics and Dropout masking.
   virtual Matrix Forward(const Matrix& input, bool training) = 0;
+  /// Bitwise equal to Forward(input, false), without touching the caches
+  /// Backward reads: BatchNorm uses its running statistics and Dropout is
+  /// the identity. Each layer routes Forward through Infer or through one
+  /// const helper the two share, so the arithmetic exists once.
+  virtual Matrix Infer(const Matrix& input) const = 0;
   /// `param_grads = false` skips accumulation into Parameter::grad and only
   /// propagates dLoss/dInput — the DDPG actor update backpropagates through
   /// the critic without wanting critic gradients, and the weight-gradient
@@ -81,6 +88,7 @@ class Linear : public Layer {
          InitScheme init = InitScheme::kUniform01);
 
   Matrix Forward(const Matrix& input, bool training) override;
+  Matrix Infer(const Matrix& input) const override;
   Matrix Backward(const Matrix& grad_output, bool param_grads = true) override;
   std::vector<Parameter*> Params() override { return {&weight_, &bias_}; }
   std::string Name() const override { return "Linear"; }
@@ -98,6 +106,7 @@ class Linear : public Layer {
 class Relu : public Layer {
  public:
   Matrix Forward(const Matrix& input, bool training) override;
+  Matrix Infer(const Matrix& input) const override;
   Matrix Backward(const Matrix& grad_output, bool param_grads = true) override;
   std::string Name() const override { return "Relu"; }
 
@@ -115,6 +124,7 @@ class LeakyRelu : public Layer {
   explicit LeakyRelu(double slope = 0.2) : slope_(slope) {}
 
   Matrix Forward(const Matrix& input, bool training) override;
+  Matrix Infer(const Matrix& input) const override;
   Matrix Backward(const Matrix& grad_output, bool param_grads = true) override;
   std::string Name() const override { return "LeakyRelu"; }
 
@@ -128,6 +138,7 @@ class LeakyRelu : public Layer {
 class Tanh : public Layer {
  public:
   Matrix Forward(const Matrix& input, bool training) override;
+  Matrix Infer(const Matrix& input) const override;
   Matrix Backward(const Matrix& grad_output, bool param_grads = true) override;
   std::string Name() const override { return "Tanh"; }
 
@@ -140,6 +151,7 @@ class Tanh : public Layer {
 class Sigmoid : public Layer {
  public:
   Matrix Forward(const Matrix& input, bool training) override;
+  Matrix Infer(const Matrix& input) const override;
   Matrix Backward(const Matrix& grad_output, bool param_grads = true) override;
   std::string Name() const override { return "Sigmoid"; }
 
@@ -155,6 +167,7 @@ class BatchNorm : public Layer {
                      double epsilon = 1e-5);
 
   Matrix Forward(const Matrix& input, bool training) override;
+  Matrix Infer(const Matrix& input) const override;
   Matrix Backward(const Matrix& grad_output, bool param_grads = true) override;
   std::vector<Parameter*> Params() override { return {&gamma_, &beta_}; }
   std::string Name() const override { return "BatchNorm"; }
@@ -166,6 +179,12 @@ class BatchNorm : public Layer {
   const Matrix& running_var() const { return running_var_; }
 
  private:
+  /// gamma * (input - mean) / sqrt(var + eps) + beta, per feature. Writes
+  /// 1/sqrt(var + eps) to `std_inv` and, when non-null, the normalized
+  /// input to `x_hat` — the two caches Backward reads.
+  Matrix Normalize(const Matrix& input, const Matrix& mean, const Matrix& var,
+                   Matrix* std_inv, Matrix* x_hat) const;
+
   double momentum_;
   double epsilon_;
   Parameter gamma_;  // 1 x features
@@ -194,6 +213,7 @@ class ParallelLinear : public Layer {
                  InitScheme init = InitScheme::kUniform01);
 
   Matrix Forward(const Matrix& input, bool training) override;
+  Matrix Infer(const Matrix& input) const override;
   Matrix Backward(const Matrix& grad_output, bool param_grads = true) override;
   std::vector<Parameter*> Params() override;
   std::string Name() const override { return "ParallelLinear"; }
@@ -215,6 +235,7 @@ class Dropout : public Layer {
   Dropout(double rate, util::Rng& rng);
 
   Matrix Forward(const Matrix& input, bool training) override;
+  Matrix Infer(const Matrix& input) const override;
   Matrix Backward(const Matrix& grad_output, bool param_grads = true) override;
   std::string Name() const override { return "Dropout"; }
 

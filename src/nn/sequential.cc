@@ -15,6 +15,12 @@ Matrix Sequential::Forward(const Matrix& input, bool training) {
   return x;
 }
 
+Matrix Sequential::Infer(const Matrix& input) const {
+  Matrix x = input;
+  for (const auto& layer : layers_) x = layer->Infer(x);
+  return x;
+}
+
 Matrix Sequential::Backward(const Matrix& grad_output, bool param_grads) {
   Matrix g = grad_output;
   for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {

@@ -32,6 +32,11 @@ class Sequential {
   /// Runs all layers in order. `training` is forwarded to each layer.
   Matrix Forward(const Matrix& input, bool training);
 
+  /// Eval-mode forward through Layer::Infer: bitwise equal to
+  /// Forward(input, false) and writes no state, so concurrent callers may
+  /// share one network. Use it for every pass no Backward follows.
+  Matrix Infer(const Matrix& input) const;
+
   /// Backpropagates dLoss/dOutput through the stack, accumulating parameter
   /// gradients; returns dLoss/dInput. `param_grads = false` propagates the
   /// input gradient only (no Parameter::grad accumulation) — used when a

@@ -192,16 +192,15 @@ Matrix DdpgAgent::CriticInput(const Matrix& states, const Matrix& actions) {
   return states.ConcatCols(actions);
 }
 
-std::vector<double> DdpgAgent::SelectAction(const std::vector<double>& state,
-                                            bool explore) {
+std::vector<double> DdpgAgent::Act(const std::vector<double>& state,
+                                   bool explore) {
   return SelectAction(state, explore ? &noise_ : nullptr);
 }
 
 std::vector<double> DdpgAgent::SelectAction(const std::vector<double>& state,
-                                            ActionNoise* noise) {
+                                            ActionNoise* noise) const {
   CDBTUNE_CHECK(state.size() == options_.state_dim) << "state dim mismatch";
-  Matrix s = Matrix::RowVector(state);
-  Matrix a = actor_.Forward(s, /*training=*/false);
+  Matrix a = actor_.Infer(Matrix::RowVector(state));
   std::vector<double> action = a.Row(0);
   if (noise != nullptr) {
     std::vector<double> n = noise->Sample();
@@ -255,10 +254,9 @@ TrainStats DdpgAgent::TrainStep() {
   critic_.ZeroGrad();
   util::ComputeContext::Get().RunConcurrent(
       {[&] {
-         Matrix next_actions =
-             actor_target_.Forward(next_states, /*training=*/false);
-         Matrix next_q = critic_target_.Forward(
-             CriticInput(next_states, next_actions), /*training=*/false);
+         Matrix next_actions = actor_target_.Infer(next_states);
+         Matrix next_q =
+             critic_target_.Infer(CriticInput(next_states, next_actions));
          for (size_t i = 0; i < batch; ++i) {
            double bootstrap =
                terminal[i] ? 0.0 : options_.gamma * next_q.at(i, 0);
@@ -322,11 +320,10 @@ void DdpgAgent::DecayNoise() {
 void DdpgAgent::ResetNoise() { noise_.Reset(); }
 
 double DdpgAgent::EstimateQ(const std::vector<double>& state,
-                            const std::vector<double>& action) {
+                            const std::vector<double>& action) const {
   Matrix s = Matrix::RowVector(state);
   Matrix a = Matrix::RowVector(action);
-  Matrix q = critic_.Forward(CriticInput(s, a), /*training=*/false);
-  return q.at(0, 0);
+  return critic_.Infer(CriticInput(s, a)).at(0, 0);
 }
 
 void DdpgAgent::AppendChunks(persist::ChunkWriter& writer,

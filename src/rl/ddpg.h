@@ -75,25 +75,23 @@ class DdpgAgent {
  public:
   explicit DdpgAgent(DdpgOptions options);
 
-  /// Deterministic policy output mu(s), optionally with exploration noise,
-  /// clipped to [0, 1].
-  ///
-  /// `explore == true` draws from the agent-owned Ornstein-Uhlenbeck
-  /// process — session-affecting shared state: every caller advances the
-  /// same stream, so two tuning sessions exploring through one agent get
-  /// trajectories that depend on scheduling order. Concurrent sessions must
-  /// use the noise-injection overload below with a session-owned process.
-  std::vector<double> SelectAction(const std::vector<double>& state,
-                                   bool explore);
+  /// The single-tenant entry point: policy output mu(s), plus, when
+  /// `explore`, a draw from the agent-owned Ornstein-Uhlenbeck process,
+  /// clipped to [0, 1]. That process is session-affecting shared state:
+  /// every caller advances the same stream, so two tuning sessions
+  /// exploring through one agent would get trajectories that depend on
+  /// scheduling order. Concurrent sessions use SelectAction below.
+  std::vector<double> Act(const std::vector<double>& state, bool explore);
 
   /// Policy output plus exploration noise drawn from the *caller's* process
-  /// (nullptr = greedy). This is the multi-session entry point: each session
-  /// owns its noise stream, so trajectories are independent of how sessions
-  /// interleave. The forward pass itself still mutates per-layer activation
-  /// caches — callers sharing one agent must serialize calls (the tuning
-  /// server wraps this in its model lock).
+  /// (nullptr = greedy), clipped to [0, 1]. This is the multi-session entry
+  /// point: each session owns its noise stream, so trajectories are
+  /// independent of how sessions interleave. The actor pass is
+  /// nn::Sequential::Infer, which writes no agent state, so any number of
+  /// threads may call this at once; only TrainStep, RestoreFromChunks and
+  /// CloneWeightsFrom must not run alongside it.
   std::vector<double> SelectAction(const std::vector<double>& state,
-                                   ActionNoise* noise);
+                                   ActionNoise* noise) const;
 
   /// Stores a transition in replay memory.
   void Observe(Transition transition);
@@ -112,7 +110,7 @@ class DdpgAgent {
 
   /// Critic estimate Q(s, a); exposed for tests and diagnostics.
   double EstimateQ(const std::vector<double>& state,
-                   const std::vector<double>& action);
+                   const std::vector<double>& action) const;
 
   /// Writes the *complete* agent state as checkpoint chunks under `prefix`
   /// (DESIGN.md §9): options, both online and both target networks
@@ -142,7 +140,8 @@ class DdpgAgent {
  private:
   nn::Sequential BuildActor();
   nn::Sequential BuildCritic();
-  nn::Matrix CriticInput(const nn::Matrix& states, const nn::Matrix& actions);
+  static nn::Matrix CriticInput(const nn::Matrix& states,
+                                const nn::Matrix& actions);
 
   DdpgOptions options_;
   util::Rng rng_;

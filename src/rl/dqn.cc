@@ -38,7 +38,7 @@ size_t DqnAgent::SelectAction(const std::vector<double>& state, bool explore) {
     return static_cast<size_t>(
         rng_.UniformInt(0, static_cast<int64_t>(num_actions()) - 1));
   }
-  Matrix q = q_net_.Forward(Matrix::RowVector(state), /*training=*/false);
+  Matrix q = q_net_.Infer(Matrix::RowVector(state));
   size_t best = 0;
   for (size_t a = 1; a < num_actions(); ++a) {
     if (q.at(0, a) > q.at(0, best)) best = a;
@@ -76,7 +76,7 @@ double DqnAgent::TrainStep() {
     next_states.SetRow(i, sample.items[i]->next_state);
   }
 
-  Matrix next_q = target_net_.Forward(next_states, /*training=*/false);
+  Matrix next_q = target_net_.Infer(next_states);
   q_net_.ZeroGrad();
   Matrix q = q_net_.Forward(states, /*training=*/true);
 

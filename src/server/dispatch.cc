@@ -1,5 +1,7 @@
 #include "server/dispatch.h"
 
+#include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -12,6 +14,13 @@ namespace cdbtune::server {
 namespace {
 
 using KeyValues = std::vector<std::pair<std::string, std::string>>;
+
+// Inclusive ranges of the types wire integers are narrowed to: `int` for
+// ids, step budgets and iteration counts, and the non-negative int64 values
+// for uint64_t / size_t fields.
+constexpr int64_t kIntMin = std::numeric_limits<int>::min();
+constexpr int64_t kIntMax = std::numeric_limits<int>::max();
+constexpr int64_t kInt64Max = std::numeric_limits<int64_t>::max();
 
 void AppendStatus(const SessionStatus& status, KeyValues* out) {
   out->emplace_back("id", std::to_string(status.id));
@@ -45,16 +54,17 @@ std::string HandleOpen(TuningServer& server, const Command& command) {
   if (!workload.ok()) return FormatError(workload.status());
   spec.workload = *workload;
 
-  auto seed = GetIntOr(command, "seed", 1);
+  auto seed = GetIntOr(command, "seed", 1, 0, kInt64Max);
   if (!seed.ok()) return FormatError(seed.status());
   spec.seed = static_cast<uint64_t>(*seed);
 
-  auto steps = GetIntOr(command, "steps", spec.max_steps);
+  auto steps = GetIntOr(command, "steps", spec.max_steps, kIntMin, kIntMax);
   if (!steps.ok()) return FormatError(steps.status());
   spec.max_steps = static_cast<int>(*steps);
 
   auto rows = GetIntOr(command, "rows",
-                       static_cast<int64_t>(spec.mini_table_rows));
+                       static_cast<int64_t>(spec.mini_table_rows), 0,
+                       kInt64Max);
   if (!rows.ok()) return FormatError(rows.status());
   spec.mini_table_rows = static_cast<uint64_t>(*rows);
 
@@ -62,16 +72,13 @@ std::string HandleOpen(TuningServer& server, const Command& command) {
   if (!stress_s.ok()) return FormatError(stress_s.status());
   spec.stress_duration_s = *stress_s;
 
-  auto safety = GetIntOr(command, "safety", spec.safety);
+  // -1 inherits the server default, 0 forces the guardrail off, 1 on.
+  auto safety = GetIntOr(command, "safety", spec.safety, -1, 1);
   if (!safety.ok()) return FormatError(safety.status());
-  if (*safety < -1 || *safety > 1) {
-    return FormatError(util::Status::InvalidArgument(
-        "safety must be -1 (server default), 0 (off) or 1 (on)"));
-  }
   spec.safety = static_cast<int>(*safety);
 
   spec.degrade_knob = GetStringOr(command, "degrade", "");
-  auto degrade_after = GetIntOr(command, "degrade_after", 0);
+  auto degrade_after = GetIntOr(command, "degrade_after", 0, 0, kInt64Max);
   if (!degrade_after.ok()) return FormatError(degrade_after.status());
   spec.degrade_after = static_cast<uint64_t>(*degrade_after);
   auto degrade_sev = GetDoubleOr(command, "degrade_sev", 0.0);
@@ -94,13 +101,10 @@ std::string HandleOpen(TuningServer& server, const Command& command) {
 }
 
 std::string HandleStep(TuningServer& server, const Command& command) {
-  auto id = GetInt(command, "id");
+  auto id = GetInt(command, "id", kIntMin, kIntMax);
   if (!id.ok()) return FormatError(id.status());
-  auto n = GetIntOr(command, "n", 1);
+  auto n = GetIntOr(command, "n", 1, 1, kInt64Max);
   if (!n.ok()) return FormatError(n.status());
-  if (*n <= 0) {
-    return FormatError(util::Status::InvalidArgument("n must be positive"));
-  }
   tuner::StepRecord last;
   for (int64_t i = 0; i < *n; ++i) {
     auto record = server.Step(static_cast<int>(*id));
@@ -120,11 +124,8 @@ std::string HandleStep(TuningServer& server, const Command& command) {
 }
 
 std::string HandleRound(TuningServer& server, const Command& command) {
-  auto n = GetIntOr(command, "n", 1);
+  auto n = GetIntOr(command, "n", 1, 1, kInt64Max);
   if (!n.ok()) return FormatError(n.status());
-  if (*n <= 0) {
-    return FormatError(util::Status::InvalidArgument("n must be positive"));
-  }
   size_t stepped = 0;
   for (int64_t i = 0; i < *n; ++i) {
     auto count = server.StepRound();
@@ -137,7 +138,7 @@ std::string HandleRound(TuningServer& server, const Command& command) {
 }
 
 std::string HandleTrain(TuningServer& server, const Command& command) {
-  auto n = GetInt(command, "n");
+  auto n = GetInt(command, "n", kIntMin, kIntMax);
   if (!n.ok()) return FormatError(n.status());
   util::Status trained = server.Train(static_cast<int>(*n));
   if (!trained.ok()) return FormatError(trained);
@@ -148,7 +149,7 @@ std::string HandleStatus(
     TuningServer& server, const Command& command,
     const std::vector<const TransportStatsSource*>& transports) {
   if (command.args.count("id") > 0) {
-    auto id = GetInt(command, "id");
+    auto id = GetInt(command, "id", kIntMin, kIntMax);
     if (!id.ok()) return FormatError(id.status());
     auto status = server.GetStatus(static_cast<int>(*id));
     if (!status.ok()) return FormatError(status.status());
@@ -181,7 +182,7 @@ std::string HandleStatus(
 }
 
 std::string HandleBestConfig(TuningServer& server, const Command& command) {
-  auto id = GetInt(command, "id");
+  auto id = GetInt(command, "id", kIntMin, kIntMax);
   if (!id.ok()) return FormatError(id.status());
   auto rendered = server.RenderBestConfig(static_cast<int>(*id));
   if (!rendered.ok()) return FormatError(rendered.status());
@@ -256,13 +257,13 @@ std::string HandleRebuild(TuningServer& server, const Command& command) {
     if (!widths.ok()) return FormatError(widths.status());
     spec.critic_hidden = std::move(*widths);
   }
-  auto embed = GetIntOr(command, "critic_embed", 0);
+  auto embed = GetIntOr(command, "critic_embed", 0, 0, kInt64Max);
   if (!embed.ok()) return FormatError(embed.status());
   spec.critic_embed = static_cast<size_t>(*embed);
-  auto seed = GetIntOr(command, "seed", 0);
+  auto seed = GetIntOr(command, "seed", 0, 0, kInt64Max);
   if (!seed.ok()) return FormatError(seed.status());
   spec.seed = static_cast<uint64_t>(*seed);
-  auto train = GetIntOr(command, "train", 0);
+  auto train = GetIntOr(command, "train", 0, kIntMin, kIntMax);
   if (!train.ok()) return FormatError(train.status());
   spec.train_iters = static_cast<int>(*train);
 
@@ -275,7 +276,7 @@ std::string HandleRebuild(TuningServer& server, const Command& command) {
 }
 
 std::string HandleClose(TuningServer& server, const Command& command) {
-  auto id = GetInt(command, "id");
+  auto id = GetInt(command, "id", kIntMin, kIntMax);
   if (!id.ok()) return FormatError(id.status());
   auto result = server.Close(static_cast<int>(*id));
   if (!result.ok()) return FormatError(result.status());

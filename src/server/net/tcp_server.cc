@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstring>
 #include <utility>
 
@@ -109,6 +110,13 @@ void TcpServer::HandleAccept(uint32_t ready) {
     }
     int one = 1;
     (void)::setsockopt(cfd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    // Cap the kernel's send buffer at the send queue's size too. Loopback
+    // autotuning otherwise grows it to megabytes, so a peer that stops
+    // reading would pin that much kernel memory, and shedding it at
+    // sendq_bytes would take hundreds of thousands of replies first.
+    const int sndbuf = static_cast<int>(
+        std::min<size_t>(options_.sendq_bytes, INT_MAX));
+    (void)::setsockopt(cfd, SOL_SOCKET, SO_SNDBUF, &sndbuf, sizeof(sndbuf));
     const uint64_t id = next_conn_id_++;
     auto conn = std::make_unique<Conn>(options_.max_frame_bytes);
     conn->fd = cfd;

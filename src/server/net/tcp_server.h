@@ -30,7 +30,9 @@ struct TcpServerOptions {
   /// Per-connection bounded send queue (bytes of encoded frames not yet
   /// accepted by the kernel). A peer that stops draining its socket —
   /// the slow-loris — is dropped the moment a response would push the
-  /// backlog past this cap; nothing ever blocks on it.
+  /// backlog past this cap; nothing ever blocks on it. The connection's
+  /// kernel send buffer (SO_SNDBUF) is capped at the same value, so such a
+  /// peer is shed after a bounded number of replies.
   size_t sendq_bytes = 256 * 1024;
   /// Threads executing dispatched requests (a STEP runs a full stress
   /// test, so these are the "compute" threads; the event loop itself never

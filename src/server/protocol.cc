@@ -49,34 +49,42 @@ std::string FormatDouble(double value) {
 namespace {
 
 util::StatusOr<int64_t> ParseInt(const std::string& key,
-                                 const std::string& value) {
+                                 const std::string& value, int64_t lo,
+                                 int64_t hi) {
+  int64_t parsed = 0;
   try {
     size_t pos = 0;
-    int64_t parsed = std::stoll(value, &pos);
+    parsed = std::stoll(value, &pos);
     if (pos != value.size()) throw std::invalid_argument(value);
-    return parsed;
   } catch (const std::exception&) {
     return util::Status::InvalidArgument("argument " + key + "=" + value +
                                          " is not an integer");
   }
+  if (parsed < lo || parsed > hi) {
+    return util::Status::InvalidArgument(
+        "argument " + key + "=" + value + " is outside [" +
+        std::to_string(lo) + ", " + std::to_string(hi) + "]");
+  }
+  return parsed;
 }
 
 }  // namespace
 
-util::StatusOr<int64_t> GetInt(const Command& command, const std::string& key) {
+util::StatusOr<int64_t> GetInt(const Command& command, const std::string& key,
+                               int64_t lo, int64_t hi) {
   auto it = command.args.find(key);
   if (it == command.args.end()) {
     return util::Status::InvalidArgument("missing required argument '" + key +
                                          "'");
   }
-  return ParseInt(key, it->second);
+  return ParseInt(key, it->second, lo, hi);
 }
 
 util::StatusOr<int64_t> GetIntOr(const Command& command, const std::string& key,
-                                 int64_t fallback) {
+                                 int64_t fallback, int64_t lo, int64_t hi) {
   auto it = command.args.find(key);
   if (it == command.args.end()) return fallback;
-  return ParseInt(key, it->second);
+  return ParseInt(key, it->second, lo, hi);
 }
 
 util::StatusOr<double> GetDoubleOr(const Command& command,

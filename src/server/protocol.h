@@ -41,10 +41,14 @@ std::string FormatError(const util::Status& status);
 std::string FormatDouble(double value);
 
 /// Argument accessors. The Get*Or forms return `fallback` when the key is
-/// absent; all fail with InvalidArgument on an unparsable value.
-util::StatusOr<int64_t> GetInt(const Command& command, const std::string& key);
+/// absent; all fail with InvalidArgument on an unparsable value. The
+/// integer forms also fail with InvalidArgument on a value outside the
+/// inclusive range [lo, hi]: pass the range of the type the value is
+/// narrowed to, so it is checked before any cast.
+util::StatusOr<int64_t> GetInt(const Command& command, const std::string& key,
+                               int64_t lo, int64_t hi);
 util::StatusOr<int64_t> GetIntOr(const Command& command, const std::string& key,
-                                 int64_t fallback);
+                                 int64_t fallback, int64_t lo, int64_t hi);
 util::StatusOr<double> GetDoubleOr(const Command& command,
                                    const std::string& key, double fallback);
 std::string GetStringOr(const Command& command, const std::string& key,

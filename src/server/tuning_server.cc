@@ -1,6 +1,7 @@
 #include "server/tuning_server.h"
 
 #include <functional>
+#include <limits>
 #include <utility>
 
 #include "engine/mini_cdb.h"
@@ -120,6 +121,10 @@ util::Status LoadSessionSpecBinary(persist::Decoder& dec, SessionSpec* out) {
   if (max_steps <= 0) {
     return util::Status::DataLoss("checkpoint session has no step budget");
   }
+  if (max_steps > std::numeric_limits<int>::max()) {
+    return util::Status::DataLoss(
+        "checkpoint session step budget overflows int");
+  }
   if (safety < -1 || safety > 1) {
     return util::Status::DataLoss("checkpoint session safety flag is invalid");
   }
@@ -182,19 +187,19 @@ struct TuningServer::Session {
 
 std::vector<double> TuningServer::ServerPolicy::ProposeAction(
     const std::vector<double>& state, bool explore) {
-  util::MutexLock lock(server_->agent_mu_);
+  util::ReaderMutexLock lock(server_->model_mu_);
   return server_->agent_->SelectAction(state, explore ? noise_ : nullptr);
 }
 
 std::vector<double> TuningServer::ServerPolicy::BestKnownAction() const {
-  util::MutexLock lock(server_->agent_mu_);
+  util::ReaderMutexLock lock(server_->model_mu_);
   return server_->best_offline_action_;
 }
 
 TuningServer::TuningServer(TuningServerOptions options)
     : options_(options),
       shards_(options.max_sessions, options.shard_capacity),
-      agent_mu_(util::lock_rank::kServerAgent, "TuningServer::agent_mu_") {
+      model_mu_(util::lock_rank::kServerAgent, "TuningServer::model_mu_") {
   CDBTUNE_CHECK(options_.max_sessions > 0) << "server needs session slots";
   // Highest index on top so pop_back hands out shard 0 first: session ids
   // and shard indices stay aligned in the common open-in-order case.
@@ -207,7 +212,7 @@ TuningServer::TuningServer(TuningServerOptions options)
 TuningServer::~TuningServer() { DrainAndStop(); }
 
 util::Status TuningServer::AdoptModel(tuner::CdbTuner& trained) {
-  util::MutexLock lock(agent_mu_);
+  util::WriterMutexLock lock(model_mu_);
   if (agent_ != nullptr) {
     return util::Status::FailedPrecondition("model already adopted");
   }
@@ -219,7 +224,7 @@ util::Status TuningServer::AdoptModel(tuner::CdbTuner& trained) {
 }
 
 bool TuningServer::model_ready() const {
-  util::MutexLock lock(agent_mu_);
+  util::ReaderMutexLock lock(model_mu_);
   return agent_ != nullptr;
 }
 
@@ -316,7 +321,7 @@ util::StatusOr<int> TuningServer::Open(const SessionSpec& spec) {
   rl::DdpgOptions model;
   tuner::MetricsCollector collector;
   {
-    util::MutexLock lock(agent_mu_);
+    util::ReaderMutexLock lock(model_mu_);
     if (agent_ == nullptr) {
       return util::Status::FailedPrecondition(
           "no model adopted; call AdoptModel first");
@@ -441,7 +446,7 @@ void TuningServer::MergeAndTrain(int iters) {
   // CollectNew's (shard index, arrival) order makes what the shared agent
   // sees independent of how the round's steps were scheduled.
   std::vector<tuner::Experience> fresh = shards_.CollectNew();
-  util::MutexLock lock(agent_mu_);
+  util::WriterMutexLock lock(model_mu_);
   if (agent_ == nullptr) return;
   for (tuner::Experience& experience : fresh) {
     agent_->Observe(std::move(experience.transition));
@@ -469,8 +474,8 @@ util::StatusOr<size_t> TuningServer::StepRound() {
   }
 
   // Fan the round out over the compute pool. Each task touches only its own
-  // session (environment, collector, noise, shard); the one shared resource
-  // — policy inference — is serialized inside ServerPolicy.
+  // session (environment, collector, noise, shard); the one shared resource,
+  // the model, is only read (ServerPolicy holds model_mu_ shared).
   std::vector<std::function<void()>> tasks;
   tasks.reserve(round.size());
   for (Session* session : round) {
@@ -528,7 +533,7 @@ util::Status TuningServer::Train(int iters) {
 
 util::StatusOr<std::vector<double>> TuningServer::Recommend(
     const std::vector<double>& state) {
-  util::MutexLock lock(agent_mu_);
+  util::ReaderMutexLock lock(model_mu_);
   if (agent_ == nullptr) {
     return util::Status::FailedPrecondition("no model adopted");
   }
@@ -635,7 +640,7 @@ void TuningServer::DrainAndStop() {
 util::Status TuningServer::AppendCheckpointChunks(
     persist::ChunkWriter& writer) {
   {
-    util::MutexLock lock(agent_mu_);
+    util::ReaderMutexLock lock(model_mu_);
     if (agent_ == nullptr) {
       return util::Status::FailedPrecondition(
           "no model adopted; nothing to checkpoint");
@@ -654,7 +659,7 @@ util::Status TuningServer::AppendCheckpointChunks(
   }
   // Chunk order is part of the checkpoint's bitwise contract — the locks
   // above/below are sequential (never nested), which also keeps this path
-  // off the mu_ -> agent_mu_ ordering entirely.
+  // off the mu_ -> model_mu_ ordering entirely.
   util::MutexLock lock(mu_);
   {
     persist::Encoder enc;
@@ -830,11 +835,11 @@ util::StatusOr<RestoreReport> TuningServer::RestoreCheckpoint(
 
     // Commit. Session sinks/policies hold pointers to the server and its
     // shards_ member, both of which keep their addresses through the swap.
-    // The only place in the repo where mu_ and agent_mu_ nest — in the
+    // The only place in the repo where mu_ and model_mu_ nest — in the
     // rank order (kServerSessions < kServerAgent) the annotations encode.
     util::MutexLock lock(mu_);
     {
-      util::MutexLock agent_lock(agent_mu_);
+      util::WriterMutexLock model_lock(model_mu_);
       agent_ = std::move(staged_agent);
       collector_template_ = std::move(staged_collector);
       best_offline_action_ = std::move(staged_best_action);
@@ -865,7 +870,7 @@ util::StatusOr<RebuildReport> TuningServer::Rebuild(const RebuildSpec& spec) {
     BeginExclusive();
   }
   auto result = [&]() -> util::StatusOr<RebuildReport> {
-    util::MutexLock lock(agent_mu_);
+    util::WriterMutexLock lock(model_mu_);
     if (agent_ == nullptr) {
       return util::Status::FailedPrecondition("no model adopted");
     }

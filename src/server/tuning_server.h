@@ -159,9 +159,11 @@ struct RebuildReport {
 ///     metrics-collector statistics, OU exploration stream, and one shard of
 ///     the sharded experience pool. Nothing session-affecting is shared.
 ///   - The shared agent is the only cross-session state. Policy inference
-///     is serialized by `agent_mu_` (a forward pass mutates per-layer
-///     activation caches) but is a pure function of weights + input, so the
-///     serialization order cannot leak into results.
+///     (DdpgAgent::SelectAction over nn::Sequential::Infer) writes nothing,
+///     so steps hold `model_mu_` shared and every core evaluates the actor
+///     at once; each call is a pure function of weights + input, so timing
+///     cannot leak into results. Only training, restore, rebuild and model
+///     adoption hold it exclusive.
 ///   - Training only happens at barriers (StepRound / Train) while no step
 ///     is in flight; merged experiences arrive in (shard index, arrival)
 ///     order. Hence a round-driven run is bitwise reproducible for fixed
@@ -274,8 +276,9 @@ class TuningServer {
     SessionStatus status;
   };
 
-  /// PolicySource over the shared agent: serializes inference with the
-  /// model lock and injects the *session's* exploration stream.
+  /// PolicySource over the shared agent: infers under the model lock held
+  /// shared (concurrent with every other session's inference) and injects
+  /// the *session's* exploration stream.
   class ServerPolicy : public tuner::PolicySource {
    public:
     ServerPolicy(TuningServer* server, rl::ActionNoise* noise)
@@ -333,18 +336,18 @@ class TuningServer {
 
   /// Feeds every un-merged experience to the agent and runs `iters`
   /// gradient steps. Caller holds exclusivity (no Add in flight).
-  void MergeAndTrain(int iters) CDBTUNE_EXCLUDES(mu_, agent_mu_);
+  void MergeAndTrain(int iters) CDBTUNE_EXCLUDES(mu_, model_mu_);
 
   /// Serializes the full server state into `writer`; FailedPrecondition
   /// before a model is adopted. Caller holds exclusivity (round barrier);
-  /// takes mu_ / agent_mu_ internally.
+  /// takes mu_ / model_mu_ internally.
   util::Status AppendCheckpointChunks(persist::ChunkWriter& writer)
-      CDBTUNE_EXCLUDES(mu_, agent_mu_);
+      CDBTUNE_EXCLUDES(mu_, model_mu_);
 
   /// SaveCheckpoint body without the exclusivity dance — called by
   /// SaveCheckpoint and by StepRound's autosave while already exclusive.
   util::Status SaveCheckpointExclusive(const std::string& path)
-      CDBTUNE_EXCLUDES(mu_, agent_mu_);
+      CDBTUNE_EXCLUDES(mu_, model_mu_);
 
   TuningServerOptions options_;
   /// Guarded by the exclusivity barrier, not a mutex: sessions Add to their
@@ -366,13 +369,16 @@ class TuningServer {
 
   /// Shared-model lock (lock_rank::kServerAgent; initialized in the
   /// constructor — an attribute between declarator and brace-initializer
-  /// does not parse). Independent of mu_; the only nesting ever allowed is
-  /// mu_ -> agent_mu_ (the restore commit), which both the rank order and
+  /// does not parse). Readers — ProposeAction, BestKnownAction, Recommend,
+  /// Open's snapshot, model_ready, AppendCheckpointChunks — hold it shared;
+  /// AdoptModel, MergeAndTrain, Rebuild and the restore commit hold it
+  /// exclusive. Independent of mu_; the only nesting ever allowed is
+  /// mu_ -> model_mu_ (the restore commit), which both the rank order and
   /// the acquired_after annotation encode.
-  mutable util::Mutex agent_mu_ CDBTUNE_ACQUIRED_AFTER(mu_);
-  std::unique_ptr<rl::DdpgAgent> agent_ CDBTUNE_GUARDED_BY(agent_mu_);
-  tuner::MetricsCollector collector_template_ CDBTUNE_GUARDED_BY(agent_mu_);
-  std::vector<double> best_offline_action_ CDBTUNE_GUARDED_BY(agent_mu_);
+  mutable util::SharedMutex model_mu_ CDBTUNE_ACQUIRED_AFTER(mu_);
+  std::unique_ptr<rl::DdpgAgent> agent_ CDBTUNE_GUARDED_BY(model_mu_);
+  tuner::MetricsCollector collector_template_ CDBTUNE_GUARDED_BY(model_mu_);
+  std::vector<double> best_offline_action_ CDBTUNE_GUARDED_BY(model_mu_);
 };
 
 }  // namespace cdbtune::server

@@ -24,7 +24,7 @@ class AgentPolicy final : public PolicySource {
 
   std::vector<double> ProposeAction(const std::vector<double>& state,
                                     bool explore) override {
-    return agent_->SelectAction(state, explore);
+    return agent_->Act(state, explore);
   }
 
   std::vector<double> BestKnownAction() const override {
@@ -147,7 +147,7 @@ double CdbTuner::EvaluateGreedy(const workload::WorkloadSpec& workload,
                                 const knobs::Config& base_config,
                                 const PerfPoint& initial,
                                 std::vector<double>* action_out) {
-  std::vector<double> action = agent_->SelectAction(state, /*explore=*/false);
+  std::vector<double> action = agent_->SelectAction(state, /*noise=*/nullptr);
   knobs::Config config = recommender_.BuildConfig(action, base_config);
   if (!recommender_.Deploy(*db_, config).ok()) return -1e300;
   env::StressResult stress;
@@ -211,7 +211,7 @@ OfflineTrainResult CdbTuner::OfflineTrain(
         a = std::clamp(a + explore_rng.Gaussian(0.0, 0.05), 0.0, 1.0);
       }
     } else {
-      action = agent_->SelectAction(state, /*explore=*/true);
+      action = agent_->Act(state, /*explore=*/true);
     }
     knobs::Config config = recommender_.BuildConfig(action, base_config);
     util::Status deploy = recommender_.Deploy(*db_, config);

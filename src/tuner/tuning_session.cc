@@ -328,6 +328,9 @@ util::Status TuningSession::RestoreBinary(persist::Decoder& dec) {
   if (!dec.ReadI64(&steps) || !dec.ReadU64(&history_size)) {
     return dec.status();
   }
+  if (steps < 0 || steps > options_.max_steps) {
+    return util::Status::DataLoss("session step count is out of range");
+  }
   result.steps = static_cast<int>(steps);
   if (history_size > dec.remaining()) {
     return util::Status::DataLoss("session history count is implausible");
@@ -344,10 +347,18 @@ util::Status TuningSession::RestoreBinary(persist::Decoder& dec) {
     r.step = static_cast<int>(step);
   }
 
+  // Every env op replays a deploy or a stress test, so the log is bounded
+  // by what a session can issue, not just by the chunk's size: Begin's
+  // baseline stress, at most three ops per step (deploy, stress, rollback
+  // deploy), and a failed final step's deploy + stress plus Finish's deploy.
   uint64_t log_size = 0;
   if (!dec.ReadU64(&log_size)) return dec.status();
-  if (log_size > dec.remaining()) {
-    return util::Status::DataLoss("session env log count is implausible");
+  const uint64_t max_log = 3 * static_cast<uint64_t>(steps) + 4;
+  if (log_size > max_log || log_size > dec.remaining()) {
+    return util::Status::DataLoss("session env log has " +
+                                  std::to_string(log_size) +
+                                  " ops; its step count allows at most " +
+                                  std::to_string(max_log));
   }
   std::vector<EnvOp> log(log_size);
   for (EnvOp& op : log) {

@@ -10,23 +10,24 @@ namespace cdbtune::util {
 
 namespace {
 
-/// The calling thread's held locks in acquisition order. Because every
-/// acquire must strictly exceed the rank of everything already held, the
-/// stack is always sorted ascending by rank even when locks are released
-/// out of LIFO order, so back() is the maximum held rank.
-thread_local std::vector<const Mutex*> tls_held;
+/// The calling thread's held locks (Mutex, or SharedMutex in either mode)
+/// in acquisition order. Because every acquire must strictly exceed the
+/// rank of everything already held, the stack is always sorted ascending by
+/// rank even when locks are released out of LIFO order, so back() is the
+/// maximum held rank.
+thread_local std::vector<const RankedLock*> tls_held;
 
 /// Death reporting bypasses CDBTUNE_LOG on purpose: the log sink itself is
 /// behind a util::Mutex, and reporting a rank violation must not acquire
 /// another lock (the violation may involve the sink's own rank).
-[[noreturn]] void LockRankDie(const char* what, const Mutex& mu) {
+[[noreturn]] void LockRankDie(const char* what, const RankedLock& mu) {
   std::fprintf(stderr, "[FATAL lock-rank] %s '%s' (rank %d)\n", what, mu.name(),
                mu.rank());
   if (tls_held.empty()) {
     std::fprintf(stderr, "  this thread holds no locks\n");
   } else {
     std::fprintf(stderr, "  locks held by this thread (acquisition order):\n");
-    for (const Mutex* held : tls_held) {
+    for (const RankedLock* held : tls_held) {
       std::fprintf(stderr, "    '%s' (rank %d)\n", held->name(), held->rank());
     }
   }
@@ -36,20 +37,18 @@ thread_local std::vector<const Mutex*> tls_held;
 
 }  // namespace
 
-void Mutex::DebugCheckAcquire() const {
-  for (const Mutex* held : tls_held) {
-    if (held == this) {
-      LockRankDie("self-deadlock: re-entrant acquire of", *this);
-    }
+void RankedLock::DebugCheckAcquire() const {
+  if (DebugHeldByThisThread()) {
+    LockRankDie("self-deadlock: re-entrant acquire of", *this);
   }
   if (!tls_held.empty() && rank_ <= tls_held.back()->rank_) {
     LockRankDie("out-of-order acquire of", *this);
   }
 }
 
-void Mutex::DebugNoteAcquired() const { tls_held.push_back(this); }
+void RankedLock::DebugNoteAcquired() const { tls_held.push_back(this); }
 
-void Mutex::DebugNoteReleased() const {
+void RankedLock::DebugNoteReleased() const {
   for (auto it = tls_held.rbegin(); it != tls_held.rend(); ++it) {
     if (*it == this) {
       tls_held.erase(std::next(it).base());
@@ -59,18 +58,21 @@ void Mutex::DebugNoteReleased() const {
   LockRankDie("release of unheld", *this);
 }
 
-void Mutex::DebugAssertHeld() const {
-  for (const Mutex* held : tls_held) {
-    if (held == this) return;
+bool RankedLock::DebugHeldByThisThread() const {
+  for (const RankedLock* held : tls_held) {
+    if (held == this) return true;
   }
-  LockRankDie("AssertHeld failed:", *this);
+  return false;
+}
+
+void Mutex::DebugAssertHeld() const {
+  if (!DebugHeldByThisThread()) LockRankDie("AssertHeld failed:", *this);
 }
 
 void Mutex::DebugCheckWaitPrecondition() const {
-  for (const Mutex* held : tls_held) {
-    if (held == this) return;
+  if (!DebugHeldByThisThread()) {
+    LockRankDie("CondVar::Wait without holding", *this);
   }
-  LockRankDie("CondVar::Wait without holding", *this);
 }
 
 #endif  // CDBTUNE_DCHECK_ENABLED

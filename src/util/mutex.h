@@ -8,6 +8,7 @@
 
 #include <condition_variable>
 #include <mutex>
+#include <shared_mutex>
 
 #include "util/check.h"
 #include "util/thread_annotations.h"
@@ -35,11 +36,12 @@ inline constexpr int kNetLoopTasks = 120;
 /// TuningServer::mu_: session registry, shard free list, round/exclusivity
 /// state.
 inline constexpr int kServerSessions = 200;
-/// TuningServer::agent_mu_: the shared model. Nested inside mu_ on the
-/// restore-commit path, never the other way around.
+/// TuningServer::model_mu_ (a SharedMutex): the shared model. Inference
+/// holds it shared, training and model swaps exclusive. Nested inside mu_
+/// on the restore-commit path, never the other way around.
 inline constexpr int kServerAgent = 300;
 /// ThreadPool::mu_: the compute pool's task queue. Above the server locks
-/// because training holds agent_mu_ across ParallelFor/RunConcurrent.
+/// because training holds model_mu_ across ParallelFor/RunConcurrent.
 inline constexpr int kThreadPool = 800;
 /// BlockingCounter::mu_: fork/join countdown, waited on after submitting.
 inline constexpr int kBlockingCounter = 810;
@@ -52,16 +54,41 @@ inline constexpr int kLeaf = 900;
 inline constexpr int kLogSink = 1000;
 }  // namespace lock_rank
 
+/// Rank and name of one lock, plus the lock-rank detector's bookkeeping
+/// for it. Base of Mutex and SharedMutex, so both kinds share one held-lock
+/// list per thread and one rank order.
+class RankedLock {
+ public:
+  RankedLock(const RankedLock&) = delete;
+  RankedLock& operator=(const RankedLock&) = delete;
+
+  int rank() const { return rank_; }
+  const char* name() const { return name_; }
+
+ protected:
+  RankedLock(int rank, const char* name) : rank_(rank), name_(name) {}
+  ~RankedLock() = default;
+
+#if CDBTUNE_DCHECK_ENABLED
+  void DebugCheckAcquire() const;
+  void DebugNoteAcquired() const;
+  void DebugNoteReleased() const;
+  /// True when the calling thread holds this lock (in any mode).
+  bool DebugHeldByThisThread() const;
+#endif
+
+ private:
+  const int rank_;
+  const char* const name_;
+};
+
 /// Annotated std::mutex wrapper with a debug-mode lock-rank deadlock
 /// detector. Non-recursive; not copyable or movable (guarded members name
 /// their mutex in annotations, so its address is part of the protocol).
-class CDBTUNE_CAPABILITY("mutex") Mutex {
+class CDBTUNE_CAPABILITY("mutex") Mutex : public RankedLock {
  public:
   explicit Mutex(int rank = lock_rank::kLeaf, const char* name = "Mutex")
-      : rank_(rank), name_(name) {}
-
-  Mutex(const Mutex&) = delete;
-  Mutex& operator=(const Mutex&) = delete;
+      : RankedLock(rank, name) {}
 
   void Lock() CDBTUNE_ACQUIRE() {
 #if CDBTUNE_DCHECK_ENABLED
@@ -102,23 +129,15 @@ class CDBTUNE_CAPABILITY("mutex") Mutex {
 #endif
   }
 
-  int rank() const { return rank_; }
-  const char* name() const { return name_; }
-
  private:
   friend class CondVar;
 
 #if CDBTUNE_DCHECK_ENABLED
-  void DebugCheckAcquire() const;
-  void DebugNoteAcquired() const;
-  void DebugNoteReleased() const;
   void DebugAssertHeld() const;
   void DebugCheckWaitPrecondition() const;
 #endif
 
   std::mutex mu_;
-  const int rank_;
-  const char* const name_;
 };
 
 /// RAII lock for util::Mutex — the only way the repo takes a lock outside
@@ -133,6 +152,84 @@ class CDBTUNE_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex* const mu_;
+};
+
+/// Reader/writer lock over std::shared_mutex: any number of shared holders
+/// or one exclusive holder. Rank-checked like Mutex in both modes — a
+/// shared hold counts as held, so neither mode may be taken re-entrantly
+/// (a second shared acquire can deadlock behind a waiting writer) or out of
+/// rank order. No CondVar pairs with it.
+class CDBTUNE_CAPABILITY("mutex") SharedMutex : public RankedLock {
+ public:
+  SharedMutex(int rank, const char* name) : RankedLock(rank, name) {}
+
+  void Lock() CDBTUNE_ACQUIRE() {
+#if CDBTUNE_DCHECK_ENABLED
+    DebugCheckAcquire();
+#endif
+    mu_.lock();
+#if CDBTUNE_DCHECK_ENABLED
+    DebugNoteAcquired();
+#endif
+  }
+
+  void Unlock() CDBTUNE_RELEASE() {
+#if CDBTUNE_DCHECK_ENABLED
+    DebugNoteReleased();
+#endif
+    mu_.unlock();
+  }
+
+  void LockShared() CDBTUNE_ACQUIRE_SHARED() {
+#if CDBTUNE_DCHECK_ENABLED
+    DebugCheckAcquire();
+#endif
+    mu_.lock_shared();
+#if CDBTUNE_DCHECK_ENABLED
+    DebugNoteAcquired();
+#endif
+  }
+
+  void UnlockShared() CDBTUNE_RELEASE_SHARED() {
+#if CDBTUNE_DCHECK_ENABLED
+    DebugNoteReleased();
+#endif
+    mu_.unlock_shared();
+  }
+
+ private:
+  std::shared_mutex mu_;
+};
+
+/// RAII exclusive lock for util::SharedMutex.
+class CDBTUNE_SCOPED_CAPABILITY WriterMutexLock {
+ public:
+  explicit WriterMutexLock(SharedMutex& mu) CDBTUNE_ACQUIRE(mu) : mu_(&mu) {
+    mu_->Lock();
+  }
+  ~WriterMutexLock() CDBTUNE_RELEASE() { mu_->Unlock(); }
+
+  WriterMutexLock(const WriterMutexLock&) = delete;
+  WriterMutexLock& operator=(const WriterMutexLock&) = delete;
+
+ private:
+  SharedMutex* const mu_;
+};
+
+/// RAII shared lock for util::SharedMutex.
+class CDBTUNE_SCOPED_CAPABILITY ReaderMutexLock {
+ public:
+  explicit ReaderMutexLock(SharedMutex& mu) CDBTUNE_ACQUIRE_SHARED(mu)
+      : mu_(&mu) {
+    mu_->LockShared();
+  }
+  ~ReaderMutexLock() CDBTUNE_RELEASE() { mu_->UnlockShared(); }
+
+  ReaderMutexLock(const ReaderMutexLock&) = delete;
+  ReaderMutexLock& operator=(const ReaderMutexLock&) = delete;
+
+ private:
+  SharedMutex* const mu_;
 };
 
 /// Condition variable bound to util::Mutex. There is deliberately no

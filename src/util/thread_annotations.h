@@ -55,6 +55,12 @@
 #define CDBTUNE_TRY_ACQUIRE(...) \
   CDBTUNE_THREAD_ANNOTATION_(try_acquire_capability(__VA_ARGS__))
 
+/// Shared-mode (reader) acquire / release of a util::SharedMutex.
+#define CDBTUNE_ACQUIRE_SHARED(...) \
+  CDBTUNE_THREAD_ANNOTATION_(acquire_shared_capability(__VA_ARGS__))
+#define CDBTUNE_RELEASE_SHARED(...) \
+  CDBTUNE_THREAD_ANNOTATION_(release_shared_capability(__VA_ARGS__))
+
 /// Function contract: the caller must NOT hold the listed capabilities
 /// (the function acquires them internally — calling with one held would
 /// self-deadlock).

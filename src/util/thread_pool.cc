@@ -3,7 +3,10 @@
 // lint: allow-file(std-function) — see thread_pool.h: the task queue is the
 // sanctioned type-erasure boundary; cost is per-task, not per-element.
 
+#include <algorithm>
+#include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <string>
 
 #include "util/check.h"
@@ -35,6 +38,27 @@ class BlockingCounter {
   Mutex mu_{lock_rank::kBlockingCounter, "BlockingCounter::mu_"};
   CondVar cv_;
   size_t count_ CDBTUNE_GUARDED_BY(mu_);
+};
+
+/// One RunConcurrent call: its tasks and the cursor the caller and the
+/// drain jobs claim them from. Drain jobs hold it by shared_ptr, so a job
+/// that starts after the last task was claimed finds nothing to run and
+/// touches only this object, never the caller's frame.
+struct TaskRegion {
+  explicit TaskRegion(std::vector<std::function<void()>> t)
+      : tasks(std::move(t)), unfinished(tasks.size() - 1) {}
+
+  /// Claims and runs tasks until every one is claimed.
+  void Drain() {
+    for (size_t i = next++; i < tasks.size(); i = next++) {
+      tasks[i]();
+      unfinished.DecrementCount();
+    }
+  }
+
+  const std::vector<std::function<void()>> tasks;
+  std::atomic<size_t> next{1};  // Task 0 belongs to the caller.
+  BlockingCounter unfinished;   // Tasks 1.. not yet finished.
 };
 
 size_t DefaultThreads() {
@@ -147,15 +171,18 @@ void ComputeContext::RunConcurrent(std::vector<std::function<void()>> tasks) {
     for (auto& task : tasks) task();
     return;
   }
-  BlockingCounter pending(tasks.size() - 1);
-  for (size_t i = 1; i < tasks.size(); ++i) {
-    pool_->Submit([&tasks, &pending, i] {
-      tasks[i]();
-      pending.DecrementCount();
-    });
+  auto region = std::make_shared<TaskRegion>(std::move(tasks));
+  // One drain job per worker that can have a task to claim, rather than
+  // one queued closure per task: a 64-session round keeps all threads
+  // busy, the caller included, instead of waiting after task 0.
+  const size_t jobs =
+      std::min(pool_->num_threads(), region->tasks.size() - 1);
+  for (size_t j = 0; j < jobs; ++j) {
+    pool_->Submit([region] { region->Drain(); });
   }
-  tasks[0]();
-  pending.Wait();
+  region->tasks[0]();
+  region->Drain();
+  region->unfinished.Wait();
 }
 
 }  // namespace cdbtune::util

@@ -78,9 +78,13 @@ class ComputeContext {
   void ParallelFor(size_t begin, size_t end, size_t grain,
                    const std::function<void(size_t, size_t)>& fn);
 
-  /// Runs independent task closures, using pool workers when available; the
-  /// calling thread always executes task 0 (and all tasks in serial mode, in
-  /// order). Returns after every task finished.
+  /// Runs independent task closures exactly once each and returns after
+  /// every one finished. The calling thread runs task 0, then claims the
+  /// remaining tasks from one shared cursor alongside up to one drain job
+  /// per pool worker, so any task may run on the caller or on a worker, in
+  /// any order. Tasks therefore must not depend on each other's progress.
+  /// Runs every task inline, in order, in serial mode, for a single task,
+  /// or when nested inside a pool worker.
   void RunConcurrent(std::vector<std::function<void()>> tasks);
 
  private:

@@ -28,6 +28,19 @@ inline std::string RebuildWithPayload(const persist::ChunkFile& file,
   return *bytes;
 }
 
+/// `payload` with its one occurrence of `from` replaced by `to`. Fails the
+/// calling test when `from` is missing or ambiguous, so a format change
+/// cannot silently turn a targeted mutant into an unmodified payload.
+inline std::string ReplaceOnce(const std::string& payload,
+                               const std::string& from, const std::string& to) {
+  const size_t at = payload.find(from);
+  EXPECT_NE(at, std::string::npos) << "pattern not found";
+  if (at == std::string::npos) return payload;
+  EXPECT_EQ(payload.find(from, at + 1), std::string::npos)
+      << "pattern is ambiguous";
+  return payload.substr(0, at) + to + payload.substr(at + from.size());
+}
+
 /// The corruption sweep's mutants of one chunk payload: the payload cut to
 /// 0, 1, half and all-but-one bytes (each only if shorter than the payload),
 /// then payload-size + 16 bytes of garbage drawn from `rng`.

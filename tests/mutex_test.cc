@@ -5,6 +5,7 @@
 // out-of-order acquire, equal-rank acquire, self-deadlock, unlocking a
 // mutex the thread does not hold, and CondVar::Wait without the lock.
 
+#include <atomic>
 #include <thread>
 #include <vector>
 
@@ -120,6 +121,58 @@ TEST(CondVarTest, WaitReleasesTheMutexWhileBlocked) {
   waiter.join();
 }
 
+TEST(SharedMutexTest, SharedHoldersOverlapAndExclusiveWaitsForThem) {
+  SharedMutex mu(lock_rank::kServerAgent, "model");
+  std::atomic<int> readers{0};
+  std::atomic<bool> both_inside{false};
+  auto reader = [&] {
+    ReaderMutexLock lock(mu);
+    ++readers;
+    // Both readers must be inside at once: a SharedMutex that serialized
+    // shared holders would keep this loop spinning until the bound.
+    for (int spin = 0; spin < 20'000'000 && readers.load() < 2; ++spin) {
+      std::this_thread::yield();
+    }
+    if (readers.load() == 2) both_inside = true;
+  };
+  std::thread a(reader);
+  std::thread b(reader);
+  a.join();
+  b.join();
+  EXPECT_TRUE(both_inside.load());
+
+  int guarded = 0;
+  std::vector<std::thread> writers;
+  for (int i = 0; i < 4; ++i) {
+    writers.emplace_back([&] {
+      for (int j = 0; j < 1000; ++j) {
+        WriterMutexLock lock(mu);
+        ++guarded;
+      }
+    });
+  }
+  for (std::thread& t : writers) t.join();
+  EXPECT_EQ(guarded, 4000);
+}
+
+TEST(SharedMutexTest, BothModesNestInRankOrder) {
+  Mutex registry(lock_rank::kServerSessions, "registry");
+  SharedMutex model(lock_rank::kServerAgent, "model");
+  Mutex pool(lock_rank::kThreadPool, "pool");
+  {
+    MutexLock a(registry);
+    ReaderMutexLock b(model);
+    MutexLock c(pool);
+  }
+  {
+    MutexLock a(registry);
+    WriterMutexLock b(model);
+    MutexLock c(pool);
+  }
+  EXPECT_EQ(model.rank(), lock_rank::kServerAgent);
+  EXPECT_STREQ(model.name(), "model");
+}
+
 // --- Lock-rank detector death tests (CDBTUNE_DCHECK builds) --------------
 
 #if CDBTUNE_DCHECK_ENABLED
@@ -183,6 +236,53 @@ TEST(LockRankDeathTest, AssertHeldPassesWhenHeld) {
   Mutex mu(lock_rank::kLeaf, "held");
   MutexLock lock(mu);
   mu.AssertHeld();
+}
+
+TEST(LockRankDeathTest, SharedAcquireAfterHigherRankDies) {
+  Mutex pool(lock_rank::kThreadPool, "ThreadPool::mu_");
+  SharedMutex model(lock_rank::kServerAgent, "TuningServer::model_mu_");
+  EXPECT_DEATH(
+      {
+        MutexLock a(pool);
+        ReaderMutexLock b(model);  // 300 after 800, in shared mode.
+      },
+      "out-of-order acquire of 'TuningServer::model_mu_' \\(rank 300\\)");
+}
+
+TEST(LockRankDeathTest, ExclusiveAcquireAfterHigherRankDies) {
+  Mutex pool(lock_rank::kThreadPool, "ThreadPool::mu_");
+  SharedMutex model(lock_rank::kServerAgent, "TuningServer::model_mu_");
+  EXPECT_DEATH(
+      {
+        MutexLock a(pool);
+        WriterMutexLock b(model);
+      },
+      "out-of-order acquire of 'TuningServer::model_mu_' \\(rank 300\\)");
+}
+
+TEST(LockRankDeathTest, LowerRankUnderSharedHoldDies) {
+  // A shared hold counts as held: the registry lock may not be taken
+  // inside it (the restore commit nests the other way round).
+  SharedMutex model(lock_rank::kServerAgent, "TuningServer::model_mu_");
+  Mutex registry(lock_rank::kServerSessions, "TuningServer::mu_");
+  EXPECT_DEATH(
+      {
+        ReaderMutexLock a(model);
+        MutexLock b(registry);
+      },
+      "out-of-order acquire of 'TuningServer::mu_' \\(rank 200\\)");
+}
+
+TEST(LockRankDeathTest, ReentrantSharedAcquireDies) {
+  // A second shared acquire can block behind a queued writer while the
+  // first is still held — the detector treats it as re-entry.
+  SharedMutex model(lock_rank::kServerAgent, "shared_twice");
+  EXPECT_DEATH(
+      {
+        ReaderMutexLock a(model);
+        ReaderMutexLock b(model);
+      },
+      "re-entrant acquire of 'shared_twice'");
 }
 
 TEST(LockRankDeathTest, CondVarWaitWithoutLockDies) {

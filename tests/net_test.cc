@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -393,13 +394,15 @@ TEST(TcpServerTest, SlowLorisClientIsDroppedWithoutBlockingOthers) {
   ASSERT_EQ(::setsockopt(loris->fd(), SOL_SOCKET, SO_RCVBUF, &tiny,
                          sizeof(tiny)),
             0);
-  // How many replies the drop takes is set by the kernel, not the test: the
-  // loopback send buffer autotunes to megabytes and SO_RCVBUF only shrinks
-  // the loris's window after the handshake, so up to ~4 MB of 21-byte PING
-  // replies can be in flight before the 512-byte queue overflows — seconds
-  // of server work, more under a sanitizer. So the test waits for the drop
-  // itself; the ctest TIMEOUT on this binary is the hang guard if the
-  // server ever stops shedding.
+  // The server caps each connection's kernel send buffer at sendq_bytes,
+  // so the loris's replies fill the kernel's side and then the 512-byte
+  // queue within a few hundred PINGs, while the server still holds
+  // thousands of the loris's unread requests. An autotuned buffer would
+  // absorb megabytes of replies first; the server could then run out of
+  // requests while the loris's zero window discards the server's window
+  // updates, and the drop would never come. The wait below is bounded and
+  // prints the last STATUS if the loris is never shed; the ctest TIMEOUT
+  // on this binary stays as the hang guard.
   std::thread flood([&] {
     // Write request frames until the socket is shut down or reset.
     const std::string ping = EncodeFrame(FrameType::kRequest, "PING");
@@ -413,15 +416,25 @@ TEST(TcpServerTest, SlowLorisClientIsDroppedWithoutBlockingOthers) {
   // observes the loris's sendq overflow in the transport telemetry.
   auto observer = ConnectTo(fixture);
   ASSERT_NE(observer, nullptr);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(120);
   bool dropped = false;
+  std::string last_status;
   while (!dropped) {
     auto status = observer->Call("STATUS");
     if (!status.ok()) {
       ADD_FAILURE() << "observer not served: " << status.status().ToString();
       break;
     }
+    last_status = *status;
     dropped = status->find("tcp_sendq_drops=0") == std::string::npos;
-    if (!dropped) std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    if (dropped) break;
+    if (std::chrono::steady_clock::now() > deadline) {
+      ADD_FAILURE() << "loris not shed within 120 s; last STATUS: "
+                    << last_status;
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   // The server's close reaches a sender stalled on a zero window only at
   // its next window probe, which backs off for seconds; shutting the
@@ -456,6 +469,14 @@ TEST(TcpServerTest, KilledClientMidEpisodeDoesNotDisturbOtherSessions) {
   auto status = survivor->Call("STATUS id=0");
   ASSERT_TRUE(status.ok());
   EXPECT_EQ(status->rfind("OK id=0", 0), 0u) << *status;
+  // The orphaned STEP may still be running on a worker, and CLOSE refuses a
+  // busy session (FAILED_PRECONDITION), so let that step finish first.
+  for (int poll = 0;
+       poll < 5000 && status->find(" busy=1") != std::string::npos; ++poll) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    status = survivor->Call("STATUS id=0");
+    ASSERT_TRUE(status.ok());
+  }
   auto closed = survivor->Call("CLOSE id=0");
   ASSERT_TRUE(closed.ok());
   EXPECT_EQ(closed->rfind("OK id=0", 0), 0u) << *closed;

@@ -1,13 +1,17 @@
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "nn/layer.h"
 #include "nn/optimizer.h"
 #include "nn/sequential.h"
+#include "nn/simd/dispatch.h"
 #include "persist/encoding.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace cdbtune::nn {
 namespace {
@@ -447,6 +451,134 @@ TEST(TrainingTest, LearnsXorWithHiddenLayer) {
   EXPECT_GT(pred.at(1, 0), 0.8);
   EXPECT_GT(pred.at(2, 0), 0.8);
   EXPECT_LT(pred.at(3, 0), 0.2);
+}
+
+// --- Infer: the eval-mode forward that writes no state ---------------------
+
+bool BitwiseEqual(const Matrix& a, const Matrix& b) {
+  return a.SameShape(b) &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// Runs `check` under every SIMD tier this host supports, at 1 and 4
+/// threads, then restores the tier and thread count.
+template <typename Check>
+void ForEachTierAndThreadCount(Check check) {
+  const simd::Tier saved_tier = simd::ActiveTier();
+  const size_t saved_threads = util::ComputeContext::Get().threads();
+  for (simd::Tier tier :
+       {simd::Tier::kScalar, simd::Tier::kAvx2, simd::Tier::kAvx512}) {
+    if (!simd::SetTier(tier)) continue;  // Not supported on this host.
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      util::ComputeContext::Get().SetThreads(threads);
+      SCOPED_TRACE(std::string(simd::TierName(tier)) + ", " +
+                   std::to_string(threads) + " threads");
+      check();
+    }
+  }
+  util::ComputeContext::Get().SetThreads(saved_threads);
+  EXPECT_TRUE(simd::SetTier(saved_tier));
+}
+
+TEST(InferTest, EveryLayerTypeMatchesEvalForwardBitwise) {
+  util::Rng rng(41);
+  std::vector<std::unique_ptr<Layer>> layers;
+  layers.push_back(std::make_unique<Linear>(6, 5, rng));
+  layers.push_back(std::make_unique<Relu>());
+  layers.push_back(std::make_unique<LeakyRelu>(0.2));
+  layers.push_back(std::make_unique<Tanh>());
+  layers.push_back(std::make_unique<Sigmoid>());
+  layers.push_back(std::make_unique<BatchNorm>(6));
+  layers.push_back(std::make_unique<ParallelLinear>(2, 3, 4, 2, rng));
+  layers.push_back(std::make_unique<Dropout>(0.3, rng));
+  // Move BatchNorm's running statistics off their initial values.
+  for (auto& layer : layers) {
+    layer->Forward(Matrix::RandomGaussian(8, 6, 0.5, 2.0, rng), true);
+  }
+  ForEachTierAndThreadCount([&] {
+    for (size_t batch : {size_t{1}, size_t{32}}) {
+      const Matrix x = Matrix::RandomGaussian(batch, 6, 0.0, 2.0, rng);
+      for (auto& layer : layers) {
+        const Matrix inferred = layer->Infer(x);
+        EXPECT_TRUE(BitwiseEqual(inferred, layer->Forward(x, false)))
+            << layer->Name() << " at batch " << batch;
+      }
+    }
+  });
+}
+
+/// The paper's Table 5 networks at their real widths (63 metrics, 266
+/// knobs), laid out as DdpgAgent builds them.
+Sequential TableFiveActor(util::Rng& rng) {
+  Sequential net;
+  net.Add(std::make_unique<Linear>(63, 128, rng));
+  net.Add(std::make_unique<LeakyRelu>(0.2));
+  net.Add(std::make_unique<BatchNorm>(128));
+  net.Add(std::make_unique<Linear>(128, 128, rng));
+  net.Add(std::make_unique<Tanh>());
+  net.Add(std::make_unique<Dropout>(0.3, rng));
+  net.Add(std::make_unique<Linear>(128, 128, rng));
+  net.Add(std::make_unique<Tanh>());
+  net.Add(std::make_unique<Linear>(128, 64, rng));
+  net.Add(std::make_unique<Tanh>());
+  net.Add(std::make_unique<Linear>(64, 266, rng));
+  net.Add(std::make_unique<Sigmoid>());
+  return net;
+}
+
+Sequential TableFiveCritic(util::Rng& rng) {
+  Sequential net;
+  net.Add(std::make_unique<ParallelLinear>(63, 128, 266, 128, rng,
+                                           InitScheme::kGaussian001));
+  net.Add(std::make_unique<Linear>(256, 256, rng, InitScheme::kGaussian001));
+  net.Add(std::make_unique<LeakyRelu>(0.2));
+  net.Add(std::make_unique<BatchNorm>(256));
+  net.Add(std::make_unique<Dropout>(0.3, rng));
+  net.Add(std::make_unique<Linear>(256, 64, rng, InitScheme::kGaussian001));
+  net.Add(std::make_unique<Tanh>());
+  net.Add(std::make_unique<Linear>(64, 1, rng, InitScheme::kGaussian001));
+  return net;
+}
+
+TEST(InferTest, ActorAndCriticMatchEvalForwardBitwise) {
+  util::Rng rng(43);
+  Sequential actor = TableFiveActor(rng);
+  Sequential critic = TableFiveCritic(rng);
+  actor.Forward(Matrix::RandomGaussian(32, 63, 0.3, 1.5, rng), true);
+  critic.Forward(Matrix::RandomGaussian(32, 63 + 266, 0.3, 1.5, rng), true);
+  ForEachTierAndThreadCount([&] {
+    for (size_t batch : {size_t{1}, size_t{32}}) {
+      const Matrix s = Matrix::RandomGaussian(batch, 63, 0.0, 1.0, rng);
+      const Matrix sa = Matrix::RandomGaussian(batch, 63 + 266, 0.0, 1.0, rng);
+      const Matrix inferred_action = actor.Infer(s);
+      EXPECT_TRUE(BitwiseEqual(inferred_action, actor.Forward(s, false)))
+          << "actor at batch " << batch;
+      const Matrix inferred_q = critic.Infer(sa);
+      EXPECT_TRUE(BitwiseEqual(inferred_q, critic.Forward(sa, false)))
+          << "critic at batch " << batch;
+    }
+  });
+}
+
+TEST(InferTest, LeavesBackwardCachesUntouched) {
+  // Infer between a training Forward and its Backward must not change the
+  // gradient: it writes none of the caches Backward reads.
+  util::Rng rng(47);
+  Sequential net;
+  net.Add(std::make_unique<Linear>(5, 8, rng));
+  net.Add(std::make_unique<LeakyRelu>(0.2));
+  net.Add(std::make_unique<BatchNorm>(8));
+  net.Add(std::make_unique<Linear>(8, 6, rng));
+  net.Add(std::make_unique<Relu>());
+  net.Add(std::make_unique<Tanh>());
+  net.Add(std::make_unique<ParallelLinear>(2, 3, 4, 2, rng));
+  net.Add(std::make_unique<Sigmoid>());
+  const Matrix x = Matrix::RandomGaussian(16, 5, 0.0, 1.0, rng);
+  const Matrix out = net.Forward(x, true);
+  const Matrix dy(out.rows(), out.cols(), 1.0);
+  const Matrix before = net.Backward(dy, /*param_grads=*/false);
+  (void)net.Infer(Matrix::RandomGaussian(3, 5, 2.0, 3.0, rng));
+  EXPECT_TRUE(BitwiseEqual(net.Backward(dy, /*param_grads=*/false), before));
 }
 
 }  // namespace

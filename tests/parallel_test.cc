@@ -105,22 +105,74 @@ TEST(ComputeContextTest, NestedParallelForRunsInline) {
              0, 100, 1, [&](size_t, size_t) { inner_chunks.fetch_add(1); });
        }});
   // Task 0 runs on the calling thread (may split); task 1 runs on a worker
-  // (single inline chunk). Either way every index is covered; at minimum 2
-  // chunks total, and the worker-side call contributes exactly one.
+  // (single inline chunk), or on the caller if it claims task 1 first.
+  // Either way every index is covered, in at least 2 chunks total.
   EXPECT_GE(inner_chunks.load(), 2);
 }
 
 TEST(ComputeContextTest, RunConcurrentRunsAllTasks) {
-  for (size_t threads : {size_t{1}, size_t{8}}) {
+  // Every task exactly once, task 0 on the caller: serially, and with three
+  // workers for fewer tasks than workers, as many, and many more.
+  const std::thread::id caller = std::this_thread::get_id();
+  for (size_t threads : {size_t{1}, size_t{4}}) {
     ScopedThreads scoped(threads);
-    std::vector<std::atomic<int>> ran(10);
-    std::vector<std::function<void()>> tasks;
-    for (size_t i = 0; i < ran.size(); ++i) {
-      tasks.push_back([&ran, i] { ran[i].fetch_add(1); });
+    for (size_t n : {size_t{2}, size_t{4}, size_t{64}}) {
+      std::vector<std::atomic<int>> ran(n);
+      std::vector<std::thread::id> ran_on(n);  // Slot i: task i's only.
+      std::vector<std::function<void()>> tasks;
+      for (size_t i = 0; i < n; ++i) {
+        tasks.push_back([&ran, &ran_on, i] {
+          ran[i].fetch_add(1);
+          ran_on[i] = std::this_thread::get_id();
+        });
+      }
+      util::ComputeContext::Get().RunConcurrent(std::move(tasks));
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(ran[i].load(), 1)
+            << "task " << i << " of " << n << ", " << threads << " threads";
+      }
+      EXPECT_EQ(ran_on[0], caller) << n << " tasks, " << threads << " threads";
     }
-    util::ComputeContext::Get().RunConcurrent(std::move(tasks));
-    for (size_t i = 0; i < ran.size(); ++i) EXPECT_EQ(ran[i].load(), 1);
   }
+}
+
+TEST(ComputeContextTest, RunConcurrentCallerClaimsTasksBeyondTaskZero) {
+  // One worker. Task 1 can only finish once task 2 has run, so the call
+  // returns only if some thread other than task 1's runs task 2 meanwhile:
+  // the caller, after task 0. A caller that ran task 0 and then just waited
+  // would leave both to the single worker, which would spin to the bound.
+  ScopedThreads scoped(2);
+  std::atomic<bool> task2_ran{false};
+  std::atomic<bool> task1_saw_task2{false};
+  util::ComputeContext::Get().RunConcurrent(
+      {[] {},
+       [&] {
+         for (int spin = 0; spin < 20'000'000 && !task2_ran.load(); ++spin) {
+           std::this_thread::yield();
+         }
+         task1_saw_task2 = task2_ran.load();
+       },
+       [&] { task2_ran = true; }});
+  EXPECT_TRUE(task1_saw_task2.load());
+}
+
+TEST(ComputeContextTest, NestedRegionsInsideRunConcurrentTasksReturn) {
+  ScopedThreads scoped(4);
+  std::atomic<int> inner{0};
+  std::vector<std::function<void()>> tasks;
+  for (int i = 0; i < 8; ++i) {
+    tasks.push_back([&inner] {
+      util::ComputeContext::Get().RunConcurrent(
+          {[&inner] { inner.fetch_add(1); }, [&inner] { inner.fetch_add(1); },
+           [&inner] { inner.fetch_add(1); }});
+      util::ComputeContext::Get().ParallelFor(
+          0, 100, 1, [&inner](size_t lo, size_t hi) {
+            inner.fetch_add(static_cast<int>(hi - lo));
+          });
+    });
+  }
+  util::ComputeContext::Get().RunConcurrent(std::move(tasks));
+  EXPECT_EQ(inner.load(), 8 * (3 + 100));
 }
 
 // --- End-to-end determinism -----------------------------------------------
@@ -168,7 +220,7 @@ TrainTrace RunSchedule(size_t threads) {
     trace.stats.push_back(agent.TrainStep());
   }
   std::vector<double> probe(options.state_dim, 0.25);
-  trace.final_action = agent.SelectAction(probe, /*explore=*/false);
+  trace.final_action = agent.SelectAction(probe, /*noise=*/nullptr);
   return trace;
 }
 

@@ -419,7 +419,7 @@ void Drive(rl::DdpgAgent& agent, util::Rng& env_rng, int steps) {
   std::vector<double> probe{0.5, -0.5, 1.0, 0.0};
   for (int i = 0; i < steps; ++i) {
     agent.Observe(RandomTransition(env_rng));
-    agent.SelectAction(probe, /*explore=*/true);
+    agent.Act(probe, /*explore=*/true);
     agent.TrainStep();
     agent.DecayNoise();
   }
@@ -563,7 +563,7 @@ std::string ModelBytes(const tuner::CdbTuner& t) {
 /// The tuner's greedy recommendation for a fixed standardized state.
 std::vector<double> Recommendation(tuner::CdbTuner& t) {
   const std::vector<double> probe(env::kNumInternalMetrics, 0.3);
-  return t.agent().SelectAction(probe, /*explore=*/false);
+  return t.agent().SelectAction(probe, /*noise=*/nullptr);
 }
 
 /// `path` must fail to load into `victim` and leave it exactly as it was.
@@ -628,7 +628,7 @@ TEST(ModelFileTest, LoadAcceptsDifferentConstructionSeed) {
   const std::vector<double> probe(env::kNumInternalMetrics, 0.1);
   for (tuner::CdbTuner* t : {trained.tuner.get(), adopter.tuner.get()}) {
     for (int i = 0; i < 5; ++i) {
-      t->agent().SelectAction(probe, /*explore=*/true);
+      t->agent().Act(probe, /*explore=*/true);
       t->agent().TrainStep();
     }
   }

@@ -252,8 +252,8 @@ TEST_P(DdpgShapeTest, SaveLoadPreservesPolicyForAnyShape) {
   rl::DdpgAgent restored(o);
   ASSERT_TRUE(restored.RestoreFromChunks(*file).ok());
   std::vector<double> probe(state_dim, 0.3);
-  EXPECT_EQ(agent.SelectAction(probe, false),
-            restored.SelectAction(probe, false));
+  EXPECT_EQ(agent.SelectAction(probe, nullptr),
+            restored.SelectAction(probe, nullptr));
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, DdpgShapeTest,

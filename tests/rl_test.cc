@@ -220,7 +220,7 @@ TEST(DdpgTest, ActionsInUnitCube) {
   std::vector<double> state{0.1, -0.5, 2.0, 0.0};
   for (bool explore : {false, true}) {
     for (int i = 0; i < 20; ++i) {
-      auto action = agent.SelectAction(state, explore);
+      auto action = agent.Act(state, explore);
       ASSERT_EQ(action.size(), 3u);
       for (double a : action) {
         EXPECT_GE(a, 0.0);
@@ -233,8 +233,8 @@ TEST(DdpgTest, ActionsInUnitCube) {
 TEST(DdpgTest, DeterministicWithoutExploration) {
   DdpgAgent agent(SmallDdpg());
   std::vector<double> state{1, 2, 3, 4};
-  auto a1 = agent.SelectAction(state, false);
-  auto a2 = agent.SelectAction(state, false);
+  auto a1 = agent.SelectAction(state, nullptr);
+  auto a2 = agent.SelectAction(state, nullptr);
   EXPECT_EQ(a1, a2);
 }
 
@@ -284,7 +284,7 @@ TEST(DdpgTest, LearnsContextualBandit) {
     std::vector<double> state =
         rng.Bernoulli(0.5) ? std::vector<double>{1.0, 0.0}
                            : std::vector<double>{-1.0, 0.0};
-    auto action = agent.SelectAction(state, true);
+    auto action = agent.Act(state, true);
     auto t = target(state);
     double d2 = 0;
     for (size_t i = 0; i < 2; ++i) {
@@ -300,8 +300,8 @@ TEST(DdpgTest, LearnsContextualBandit) {
     agent.TrainStep();
     agent.DecayNoise();
   }
-  auto a_pos = agent.SelectAction({1.0, 0.0}, false);
-  auto a_neg = agent.SelectAction({-1.0, 0.0}, false);
+  auto a_pos = agent.SelectAction({1.0, 0.0}, nullptr);
+  auto a_neg = agent.SelectAction({-1.0, 0.0}, nullptr);
   EXPECT_NEAR(a_pos[0], 0.8, 0.25);
   EXPECT_NEAR(a_neg[0], 0.2, 0.25);
   EXPECT_GT(a_pos[0], a_neg[0] + 0.2);
@@ -322,8 +322,8 @@ TEST(DdpgTest, SaveLoadRoundTrip) {
   DdpgAgent restored(SmallDdpg());
   ASSERT_TRUE(restored.RestoreFromChunks(*file).ok());
   std::vector<double> state{0.3, 0.1, -0.2, 0.9};
-  EXPECT_EQ(agent.SelectAction(state, false),
-            restored.SelectAction(state, false));
+  EXPECT_EQ(agent.SelectAction(state, nullptr),
+            restored.SelectAction(state, nullptr));
 }
 
 TEST(DdpgTest, CloneWeightsMatchesPolicy) {
@@ -333,7 +333,7 @@ TEST(DdpgTest, CloneWeightsMatchesPolicy) {
   DdpgAgent b(SmallDdpg());
   b.CloneWeightsFrom(a);
   std::vector<double> state{1, 0, 0, 1};
-  EXPECT_EQ(a.SelectAction(state, false), b.SelectAction(state, false));
+  EXPECT_EQ(a.SelectAction(state, nullptr), b.SelectAction(state, nullptr));
   EXPECT_NEAR(a.EstimateQ(state, {0.5, 0.5, 0.5}),
               b.EstimateQ(state, {0.5, 0.5, 0.5}), 1e-12);
 }

@@ -1,6 +1,8 @@
+#include <atomic>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "checkpoint_mutants.h"
@@ -103,10 +105,16 @@ TEST(ProtocolTest, RejectsMalformedInput) {
 TEST(ProtocolTest, AccessorsValidate) {
   auto command = ParseCommand("STEP id=3 frac=0.5 bad=xyz");
   ASSERT_TRUE(command.ok());
-  EXPECT_EQ(GetInt(*command, "id").value(), 3);
-  EXPECT_FALSE(GetInt(*command, "missing").ok());
-  EXPECT_EQ(GetIntOr(*command, "missing", 7).value(), 7);
-  EXPECT_FALSE(GetIntOr(*command, "bad", 7).ok());
+  EXPECT_EQ(GetInt(*command, "id", 0, 10).value(), 3);
+  EXPECT_FALSE(GetInt(*command, "missing", 0, 10).ok());
+  EXPECT_EQ(GetIntOr(*command, "missing", 7, 0, 10).value(), 7);
+  EXPECT_FALSE(GetIntOr(*command, "bad", 7, 0, 10).ok());
+  // The range is inclusive; a value outside it is InvalidArgument.
+  EXPECT_EQ(GetInt(*command, "id", 3, 3).value(), 3);
+  EXPECT_EQ(GetInt(*command, "id", 4, 10).status().code(),
+            util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(GetIntOr(*command, "id", 1, 0, 2).status().code(),
+            util::StatusCode::kInvalidArgument);
   EXPECT_EQ(GetDoubleOr(*command, "frac", 0.0).value(), 0.5);
   EXPECT_FALSE(GetDoubleOr(*command, "bad", 0.0).ok());
   EXPECT_EQ(GetStringOr(*command, "missing", "dflt"), "dflt");
@@ -461,6 +469,46 @@ TEST(DispatchTest, UnbootableMiniTenantFailsAlone) {
   EXPECT_EQ(stepped.rfind("OK id=0 step=2", 0), 0u) << stepped;
 }
 
+// Regressions: wire integers used to be cast to int before any check, so
+// each of these was accepted with a wrapped value.
+TEST(DispatchTest, SessionIdBeyondIntIsRejected) {
+  TuningServer server;
+  ASSERT_TRUE(server.AdoptModel(SharedTrainedTuner()).ok());
+  ASSERT_EQ(Dispatch(server, "OPEN engine=sim seed=5").rfind("OK id=0", 0), 0u);
+  ASSERT_EQ(Dispatch(server, "OPEN engine=sim seed=6").rfind("OK id=1", 0), 0u);
+  // 4294967297 = 2^32 + 1 used to address session 1: one tenant's request
+  // stepped or closed another tenant's session.
+  for (const char* verb : {"STEP", "STATUS", "BEST_CONFIG", "CLOSE"}) {
+    const std::string line = std::string(verb) + " id=4294967297";
+    EXPECT_EQ(Dispatch(server, line).rfind("ERR INVALID_ARGUMENT", 0), 0u)
+        << line;
+  }
+  auto status = server.GetStatus(1);
+  ASSERT_TRUE(status.ok());
+  EXPECT_EQ(status->steps_done, 0);
+  EXPECT_EQ(server.open_sessions(), 2u);
+}
+
+TEST(DispatchTest, TrainCountBeyondIntIsRejected) {
+  TuningServer server;
+  ASSERT_TRUE(server.AdoptModel(SharedTrainedTuner()).ok());
+  // Used to reply "OK trained=4294967296" after training zero times.
+  EXPECT_EQ(Dispatch(server, "TRAIN n=4294967296")
+                .rfind("ERR INVALID_ARGUMENT", 0),
+            0u);
+  EXPECT_EQ(Dispatch(server, "TRAIN n=0"), "OK trained=0");
+}
+
+TEST(DispatchTest, StepBudgetBeyondIntIsRejected) {
+  TuningServer server;
+  ASSERT_TRUE(server.AdoptModel(SharedTrainedTuner()).ok());
+  // Used to open a session with a 1-step budget.
+  EXPECT_EQ(Dispatch(server, "OPEN engine=sim steps=4294967297")
+                .rfind("ERR INVALID_ARGUMENT", 0),
+            0u);
+  EXPECT_EQ(server.open_sessions(), 0u);
+}
+
 TEST(ShardedExperiencePoolTest, SnapshotAfterWraparoundIsDeterministic) {
   // Warm-start snapshots (REBUILD) must not depend on how session writers
   // interleaved: only the per-shard retained windows and the (shard,
@@ -743,6 +791,36 @@ TEST(CheckpointTest, TruncatedOrGarbageChunkPayloadsFailCleanly) {
   EXPECT_EQ(restore_mutant("server/model_meta", short_action.bytes()),
             util::StatusCode::kDataLoss);
 
+  // A step budget of 2^32 + 4 narrows to session 0's budget of 4, so before
+  // the range check it restored as if nothing were wrong.
+  const std::string spec = std::string(*file.Get("session/0/spec"));
+  persist::Encoder seed_and_budget, wide_budget;
+  seed_and_budget.WriteU64(500);
+  seed_and_budget.WriteI64(4);
+  wide_budget.WriteU64(500);
+  wide_budget.WriteI64((int64_t{1} << 32) + 4);
+  EXPECT_EQ(restore_mutant("session/0/spec",
+                           tests::ReplaceOnce(spec, seed_and_budget.bytes(),
+                                              wide_budget.bytes())),
+            util::StatusCode::kDataLoss);
+
+  // A CRC-valid env log of one-byte stress records: session 0 took one step
+  // (log: baseline stress, deploy, stress), so at most 3 * 1 + 4 ops can be
+  // genuine. Each extra record would replay a whole stress test.
+  const std::string state = std::string(*file.Get("session/0/state"));
+  persist::Encoder log_head, long_log_head;
+  log_head.WriteU64(3);
+  log_head.WriteBool(false);
+  log_head.WriteBool(true);
+  constexpr uint64_t kExtraStresses = 10000;
+  long_log_head.WriteU64(3 + kExtraStresses);
+  for (uint64_t i = 0; i <= kExtraStresses; ++i) long_log_head.WriteBool(false);
+  long_log_head.WriteBool(true);
+  EXPECT_EQ(restore_mutant("session/0/state",
+                           tests::ReplaceOnce(state, log_head.bytes(),
+                                              long_log_head.bytes())),
+            util::StatusCode::kDataLoss);
+
   auto report = target.RestoreCheckpoint(good);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->sessions, 2u);
@@ -837,6 +915,104 @@ TEST(DispatchTest, CheckpointVerbs) {
   EXPECT_EQ(Dispatch(resumed, "RESTORE path=/nonexistent/ck").rfind("ERR", 0),
             0u);
   RemoveGenerations(path);
+}
+
+// --- Lock-free readers ------------------------------------------------------
+
+/// Opens `specs` in order, then runs `phases` phases. Each phase steps every
+/// session once; Train(1) and SaveCheckpoint run between phases. With
+/// `concurrent`, four threads step their own sessions while two more run
+/// the whole time: one reads (Recommend, GetStatus, model_ready), one opens
+/// and closes a spare session. Returns every session's closed result.
+std::vector<tuner::OnlineTuneResult> RunPhasedSchedule(
+    const std::vector<SessionSpec>& specs, int phases, bool concurrent) {
+  util::ComputeContext::Get().SetThreads(4);
+  const std::string path =
+      CheckpointPath(concurrent ? "phased_concurrent" : "phased_serial");
+  RemoveGenerations(path);
+  TuningServer server;
+  EXPECT_TRUE(server.AdoptModel(SharedTrainedTuner()).ok());
+  std::vector<int> ids;
+  for (const SessionSpec& spec : specs) {
+    auto id = server.Open(spec);
+    EXPECT_TRUE(id.ok()) << id.status().ToString();
+    ids.push_back(*id);
+  }
+
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> background;
+  if (concurrent) {
+    background.emplace_back([&] {
+      const std::vector<double> state(
+          SharedTrainedTuner().agent().options().state_dim, 0.1);
+      while (!stop) {
+        EXPECT_TRUE(server.Recommend(state).ok());
+        EXPECT_TRUE(server.model_ready());
+        for (int id : ids) EXPECT_TRUE(server.GetStatus(id).ok());
+      }
+    });
+    background.emplace_back([&] {
+      SessionSpec spare = TestSpecs(1)[0];
+      spare.seed = 999;
+      while (!stop) {
+        auto id = server.Open(spare);
+        EXPECT_TRUE(id.ok()) << id.status().ToString();
+        if (id.ok()) EXPECT_TRUE(server.Close(*id).ok());
+      }
+    });
+  }
+
+  constexpr size_t kSteppers = 4;
+  for (int phase = 0; phase < phases; ++phase) {
+    if (concurrent) {
+      std::vector<std::thread> steppers;
+      for (size_t t = 0; t < kSteppers; ++t) {
+        steppers.emplace_back([&, t] {
+          for (size_t i = t; i < ids.size(); i += kSteppers) {
+            auto record = server.Step(ids[i]);
+            EXPECT_TRUE(record.ok()) << record.status().ToString();
+          }
+        });
+      }
+      for (std::thread& stepper : steppers) stepper.join();
+    } else {
+      for (int id : ids) EXPECT_TRUE(server.Step(id).ok());
+    }
+    if (phase + 1 < phases) {
+      EXPECT_TRUE(server.Train(1).ok());
+      EXPECT_TRUE(server.SaveCheckpoint(path).ok());
+    }
+  }
+  stop = true;
+  for (std::thread& thread : background) thread.join();
+
+  std::vector<tuner::OnlineTuneResult> results;
+  for (int id : ids) {
+    auto result = server.Close(id);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    if (result.ok()) results.push_back(*result);
+  }
+  RemoveGenerations(path);
+  util::ComputeContext::Get().SetThreads(0);
+  return results;
+}
+
+// Inference takes the model lock shared: steps on four threads, model
+// readers and session churn all overlap, and training and checkpoints take
+// it exclusive between phases. The trajectories must still equal the same
+// schedule run on one thread. 12 sessions x 6 steps put more than one
+// training batch into the pool, so the later Train(1) calls change weights.
+TEST(TuningServerTest, ConcurrentReadersMatchSerialSchedule) {
+  auto specs = TestSpecs(12);
+  for (SessionSpec& spec : specs) spec.max_steps = 6;
+  auto serial = RunPhasedSchedule(specs, 6, /*concurrent=*/false);
+  auto concurrent = RunPhasedSchedule(specs, 6, /*concurrent=*/true);
+  ASSERT_EQ(serial.size(), specs.size());
+  ASSERT_EQ(concurrent.size(), specs.size());
+  for (size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_EQ(serial[i].steps, 6);
+    ExpectSameResult(concurrent[i], serial[i]);
+  }
 }
 
 }  // namespace

@@ -311,8 +311,8 @@ TEST(CdbTunerTest, SaveLoadModelRoundTrip) {
   // input normalization — the network only works on inputs scaled the way
   // it saw them in training.
   std::vector<double> state(env::kNumInternalMetrics, 0.2);
-  EXPECT_EQ(trained.agent().SelectAction(state, false),
-            restored.agent().SelectAction(state, false));
+  EXPECT_EQ(trained.agent().SelectAction(state, nullptr),
+            restored.agent().SelectAction(state, nullptr));
   EXPECT_EQ(trained.best_offline_action(), restored.best_offline_action());
   ASSERT_GT(trained.collector().observations(), 1u);
   EXPECT_EQ(restored.collector().observations(),
