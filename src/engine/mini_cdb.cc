@@ -32,10 +32,14 @@ MiniCdb::MiniCdb(env::HardwareSpec hardware, MiniCdbOptions options)
       config_(registry_.DefaultConfig()),
       rng_(options.seed),
       next_insert_key_(options.table_rows) {
-  const double table_bytes =
-      static_cast<double>(options_.table_rows) * kRecordSize * 1.15;
-  scale_ = table_bytes / (options_.reference_data_gb * 1024.0 * 1024.0 * 1024.0);
+  scale_ = ScaleFor(options_);
   Reset();
+}
+
+double MiniCdb::ScaleFor(const MiniCdbOptions& options) {
+  const double table_bytes =
+      static_cast<double>(options.table_rows) * kRecordSize * 1.15;
+  return table_bytes / (options.reference_data_gb * 1024.0 * 1024.0 * 1024.0);
 }
 
 util::Status MiniCdb::Restart() {

@@ -62,6 +62,10 @@ class MiniCdb : public env::DbInterface {
   const Wal& wal() const { return *wal_; }
   const BTree& btree() const { return *btree_; }
   double scale() const { return scale_; }
+  /// The scale() of an instance built with `options`: its table's bytes over
+  /// the full-size dataset's. Buffer frames and disk pages are at most
+  /// this times the hardware's RAM and disk.
+  static double ScaleFor(const MiniCdbOptions& options);
   int crash_count() const { return crash_count_; }
 
  private:

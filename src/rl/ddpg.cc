@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <initializer_list>
 #include <memory>
 
 #include "util/check.h"
@@ -82,7 +83,59 @@ util::Status LoadDdpgOptionsBinary(persist::Decoder& dec, DdpgOptions* out) {
   o.batch_size = batch_size;
   o.replay_capacity = replay_capacity;
   o.seed = seed;
+  util::Status valid = o.Validate();
+  if (!valid.ok()) {
+    return util::Status::DataLoss("checkpoint agent options: " +
+                                  valid.message());
+  }
   *out = std::move(o);
+  return util::Status::Ok();
+}
+
+util::Status DdpgOptions::Validate() const {
+  constexpr size_t kMaxWidth = 1024;
+  constexpr size_t kMaxLayers = 8;
+  constexpr size_t kMaxReplay = 1000000;
+  const auto width_ok = [](size_t width) {
+    return width >= 1 && width <= kMaxWidth;
+  };
+  if (!width_ok(state_dim) || !width_ok(action_dim)) {
+    return util::Status::InvalidArgument(
+        "state_dim and action_dim must be in [1, 1024]");
+  }
+  if (actor_hidden.empty() || actor_hidden.size() > kMaxLayers ||
+      critic_hidden.size() > kMaxLayers) {
+    return util::Status::InvalidArgument(
+        "the actor needs 1-8 hidden layers and the critic at most 8");
+  }
+  if (!std::all_of(actor_hidden.begin(), actor_hidden.end(), width_ok) ||
+      !std::all_of(critic_hidden.begin(), critic_hidden.end(), width_ok) ||
+      !width_ok(critic_embed)) {
+    return util::Status::InvalidArgument(
+        "actor_hidden and critic_hidden widths and critic_embed must be in "
+        "[1, 1024]");
+  }
+  if (replay_capacity < 1 || replay_capacity > kMaxReplay) {
+    return util::Status::InvalidArgument(
+        "replay_capacity must be in [1, 1000000]");
+  }
+  if (batch_size < 1 || batch_size > replay_capacity) {
+    return util::Status::InvalidArgument(
+        "batch_size must be in [1, replay_capacity]");
+  }
+  for (double value : {actor_lr, critic_lr, gamma, tau, dropout_rate,
+                       leaky_slope, noise_sigma, noise_theta, noise_decay,
+                       min_noise_sigma, grad_clip}) {
+    if (!std::isfinite(value)) {
+      return util::Status::InvalidArgument("agent options must be finite");
+    }
+  }
+  if (!(dropout_rate >= 0.0 && dropout_rate < 1.0)) {
+    return util::Status::InvalidArgument("dropout_rate must be in [0, 1)");
+  }
+  if (!(grad_clip > 0.0)) {
+    return util::Status::InvalidArgument("grad_clip must be > 0");
+  }
   return util::Status::Ok();
 }
 

@@ -50,10 +50,20 @@ struct DdpgOptions {
   double min_noise_sigma = 0.02;
   double grad_clip = 5.0;
   uint64_t seed = 7;
+
+  /// InvalidArgument unless every field that sizes an allocation or reaches
+  /// a construction-time CHECK is in range: state_dim, action_dim,
+  /// critic_embed and every layer width in [1, 1024] (2x Table 6's widest
+  /// layer); 1-8 actor and at most 8 critic hidden layers; replay_capacity
+  /// in [1, 10^6]; batch_size in [1, replay_capacity]; dropout_rate in
+  /// [0, 1); grad_clip > 0; every double finite. Run on options from outside
+  /// the program (REBUILD, a checkpoint) before an agent is built from them.
+  util::Status Validate() const;
 };
 
 /// Bit-exact DdpgOptions codec; the options chunk lets a loader rebuild an
-/// identically-shaped agent before applying the rest of a checkpoint.
+/// identically-shaped agent before applying the rest of a checkpoint. The
+/// loader runs DdpgOptions::Validate; out-of-range options are DATA_LOSS.
 void SaveDdpgOptionsBinary(persist::Encoder& enc, const DdpgOptions& o);
 util::Status LoadDdpgOptionsBinary(persist::Decoder& dec, DdpgOptions* out);
 /// Human-readable name of the first differing field, or empty when equal.

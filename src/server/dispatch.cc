@@ -1,26 +1,67 @@
 #include "server/dispatch.h"
 
-#include <cstdint>
+#include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <limits>
+#include <type_traits>
 #include <utility>
-#include <vector>
 
 #include "env/instance.h"
 #include "server/protocol.h"
 #include "tuner/tuning_session.h"
+#include "util/check.h"
 
 namespace cdbtune::server {
+
+struct CheckedRequest {
+  /// One argument's checked value, in its row's type.
+  struct Value {
+    std::string_view text;  // Empty when the request lacks the key.
+    int64_t integer = 0;
+    double real = 0.0;
+  };
+
+  TuningServer& server;
+  const std::vector<const TransportStatsSource*>& transports;
+  const VerbRow& row;
+  std::vector<Value> values;  // Parallel to row.args.
+  bool shutdown = false;
+
+  /// Index of `key` in row.args, or row.args.size() when the row has none.
+  size_t Index(std::string_view key) const {
+    return static_cast<size_t>(
+        std::find_if(row.args.begin(), row.args.end(),
+                     [&](const ArgRow& arg) { return arg.key == key; }) -
+        row.args.begin());
+  }
+
+  const Value& At(std::string_view key) const {
+    const size_t i = Index(key);
+    CDBTUNE_CHECK(i < values.size()) << row.verb << " has no row " << key;
+    return values[i];
+  }
+
+  /// The checked value of `key`, or `absent` when the request does not
+  /// carry it. An int row's range fits `T`.
+  template <typename T>
+  T Get(std::string_view key, T absent = T()) const {
+    const Value& value = At(key);
+    if (value.text.empty()) return absent;
+    if constexpr (std::is_integral_v<T>) {
+      CDBTUNE_DCHECK(std::in_range<T>(value.integer)) << key;
+      return static_cast<T>(value.integer);
+    } else if constexpr (std::is_floating_point_v<T>) {
+      return value.real;
+    } else {
+      return T(value.text);
+    }
+  }
+};
 
 namespace {
 
 using KeyValues = std::vector<std::pair<std::string, std::string>>;
-
-// Inclusive ranges of the types wire integers are narrowed to: `int` for
-// ids, step budgets and iteration counts, and the non-negative int64 values
-// for uint64_t / size_t fields.
-constexpr int64_t kIntMin = std::numeric_limits<int>::min();
-constexpr int64_t kIntMax = std::numeric_limits<int>::max();
-constexpr int64_t kInt64Max = std::numeric_limits<int64_t>::max();
 
 void AppendStatus(const SessionStatus& status, KeyValues* out) {
   out->emplace_back("id", std::to_string(status.id));
@@ -46,75 +87,47 @@ void AppendStatus(const SessionStatus& status, KeyValues* out) {
   }
 }
 
-std::string HandleOpen(TuningServer& server, const Command& command) {
+std::string HandleOpen(CheckedRequest& request) {
   SessionSpec spec;
-  spec.engine = GetStringOr(command, "engine", "sim");
-
-  auto workload = WorkloadByName(GetStringOr(command, "workload", "sysbench_rw"));
+  spec.engine = request.Get("engine", spec.engine);
+  auto workload =
+      WorkloadByName(request.Get<std::string>("workload", "sysbench_rw"));
   if (!workload.ok()) return FormatError(workload.status());
   spec.workload = *workload;
+  spec.seed = request.Get("seed", spec.seed);
+  spec.max_steps = request.Get("steps", spec.max_steps);
+  spec.mini_table_rows = request.Get("rows", spec.mini_table_rows);
+  spec.stress_duration_s = request.Get("stress_s", spec.stress_duration_s);
+  spec.safety = request.Get("safety", spec.safety);
+  spec.degrade_knob = request.Get("degrade", spec.degrade_knob);
+  spec.degrade_after = request.Get("degrade_after", spec.degrade_after);
+  spec.degrade_severity = request.Get("degrade_sev", spec.degrade_severity);
+  spec.hardware = env::MakeInstance(
+      "custom", request.Get("ram_gb", spec.hardware.ram_gb),
+      request.Get("disk_gb", spec.hardware.disk_gb));
 
-  auto seed = GetIntOr(command, "seed", 1, 0, kInt64Max);
-  if (!seed.ok()) return FormatError(seed.status());
-  spec.seed = static_cast<uint64_t>(*seed);
-
-  auto steps = GetIntOr(command, "steps", spec.max_steps, kIntMin, kIntMax);
-  if (!steps.ok()) return FormatError(steps.status());
-  spec.max_steps = static_cast<int>(*steps);
-
-  auto rows = GetIntOr(command, "rows",
-                       static_cast<int64_t>(spec.mini_table_rows), 0,
-                       kInt64Max);
-  if (!rows.ok()) return FormatError(rows.status());
-  spec.mini_table_rows = static_cast<uint64_t>(*rows);
-
-  auto stress_s = GetDoubleOr(command, "stress_s", spec.stress_duration_s);
-  if (!stress_s.ok()) return FormatError(stress_s.status());
-  spec.stress_duration_s = *stress_s;
-
-  // -1 inherits the server default, 0 forces the guardrail off, 1 on.
-  auto safety = GetIntOr(command, "safety", spec.safety, -1, 1);
-  if (!safety.ok()) return FormatError(safety.status());
-  spec.safety = static_cast<int>(*safety);
-
-  spec.degrade_knob = GetStringOr(command, "degrade", "");
-  auto degrade_after = GetIntOr(command, "degrade_after", 0, 0, kInt64Max);
-  if (!degrade_after.ok()) return FormatError(degrade_after.status());
-  spec.degrade_after = static_cast<uint64_t>(*degrade_after);
-  auto degrade_sev = GetDoubleOr(command, "degrade_sev", 0.0);
-  if (!degrade_sev.ok()) return FormatError(degrade_sev.status());
-  spec.degrade_severity = *degrade_sev;
-
-  auto ram_gb = GetDoubleOr(command, "ram_gb", spec.hardware.ram_gb);
-  if (!ram_gb.ok()) return FormatError(ram_gb.status());
-  auto disk_gb = GetDoubleOr(command, "disk_gb", spec.hardware.disk_gb);
-  if (!disk_gb.ok()) return FormatError(disk_gb.status());
-  spec.hardware = env::MakeInstance("custom", *ram_gb, *disk_gb);
-
-  auto id = server.Open(spec);
+  auto id = request.server.Open(spec);
   if (!id.ok()) return FormatError(id.status());
-  auto status = server.GetStatus(*id);
+  auto status = request.server.GetStatus(*id);
   if (!status.ok()) return FormatError(status.status());
   return FormatOk({{"id", std::to_string(*id)},
                    {"tps", FormatDouble(status->initial_throughput)},
                    {"p99", FormatDouble(status->initial_latency)}});
 }
 
-std::string HandleStep(TuningServer& server, const Command& command) {
-  auto id = GetInt(command, "id", kIntMin, kIntMax);
-  if (!id.ok()) return FormatError(id.status());
-  auto n = GetIntOr(command, "n", 1, 1, kInt64Max);
-  if (!n.ok()) return FormatError(n.status());
+std::string HandleStep(CheckedRequest& request) {
+  const int id = request.Get<int>("id");
+  const int n = request.Get("n", 1);
   tuner::StepRecord last;
-  for (int64_t i = 0; i < *n; ++i) {
-    auto record = server.Step(static_cast<int>(*id));
+  for (int i = 0; i < n; ++i) {
+    auto record = request.server.Step(id);
     if (!record.ok()) return FormatError(record.status());
     last = *record;
     if (last.crashed) break;
   }
-  auto status = server.GetStatus(static_cast<int>(*id));
+  auto status = request.server.GetStatus(id);
   if (!status.ok()) return FormatError(status.status());
-  return FormatOk({{"id", std::to_string(*id)},
+  return FormatOk({{"id", std::to_string(id)},
                    {"step", std::to_string(last.step)},
                    {"tps", FormatDouble(last.throughput)},
                    {"p99", FormatDouble(last.latency)},
@@ -123,41 +136,35 @@ std::string HandleStep(TuningServer& server, const Command& command) {
                    {"phase", tuner::SessionPhaseName(status->phase)}});
 }
 
-std::string HandleRound(TuningServer& server, const Command& command) {
-  auto n = GetIntOr(command, "n", 1, 1, kInt64Max);
-  if (!n.ok()) return FormatError(n.status());
+std::string HandleRound(CheckedRequest& request) {
+  const int n = request.Get("n", 1);
   size_t stepped = 0;
-  for (int64_t i = 0; i < *n; ++i) {
-    auto count = server.StepRound();
+  for (int i = 0; i < n; ++i) {
+    auto count = request.server.StepRound();
     if (!count.ok()) return FormatError(count.status());
     stepped = *count;
     if (stepped == 0) break;  // Every session finished its budget.
   }
-  return FormatOk({{"rounds", std::to_string(*n)},
+  return FormatOk({{"rounds", std::to_string(n)},
                    {"sessions", std::to_string(stepped)}});
 }
 
-std::string HandleTrain(TuningServer& server, const Command& command) {
-  auto n = GetInt(command, "n", kIntMin, kIntMax);
-  if (!n.ok()) return FormatError(n.status());
-  util::Status trained = server.Train(static_cast<int>(*n));
+std::string HandleTrain(CheckedRequest& request) {
+  const int n = request.Get<int>("n");
+  util::Status trained = request.server.Train(n);
   if (!trained.ok()) return FormatError(trained);
-  return FormatOk({{"trained", std::to_string(*n)}});
+  return FormatOk({{"trained", std::to_string(n)}});
 }
 
-std::string HandleStatus(
-    TuningServer& server, const Command& command,
-    const std::vector<const TransportStatsSource*>& transports) {
-  if (command.args.count("id") > 0) {
-    auto id = GetInt(command, "id", kIntMin, kIntMax);
-    if (!id.ok()) return FormatError(id.status());
-    auto status = server.GetStatus(static_cast<int>(*id));
+std::string HandleStatus(CheckedRequest& request) {
+  if (!request.At("id").text.empty()) {
+    auto status = request.server.GetStatus(request.Get<int>("id"));
     if (!status.ok()) return FormatError(status.status());
     KeyValues pairs;
     AppendStatus(*status, &pairs);
     return FormatOk(pairs);
   }
-  std::vector<SessionStatus> all = server.ListStatus();
+  std::vector<SessionStatus> all = request.server.ListStatus();
   KeyValues pairs;
   pairs.emplace_back("sessions", std::to_string(all.size()));
   for (const SessionStatus& status : all) {
@@ -167,7 +174,7 @@ std::string HandleStatus(
   }
   // Per-transport connection/back-pressure telemetry: one key block per
   // registered front end.
-  for (const TransportStatsSource* source : transports) {
+  for (const TransportStatsSource* source : request.transports) {
     const TransportStats stats = source->Scrape();
     const std::string& t = stats.name;
     pairs.emplace_back(t + "_conns", std::to_string(stats.connections));
@@ -181,31 +188,25 @@ std::string HandleStatus(
   return FormatOk(pairs);
 }
 
-std::string HandleBestConfig(TuningServer& server, const Command& command) {
-  auto id = GetInt(command, "id", kIntMin, kIntMax);
-  if (!id.ok()) return FormatError(id.status());
-  auto rendered = server.RenderBestConfig(static_cast<int>(*id));
+std::string HandleBestConfig(CheckedRequest& request) {
+  const int id = request.Get<int>("id");
+  auto rendered = request.server.RenderBestConfig(id);
   if (!rendered.ok()) return FormatError(rendered.status());
-  return FormatOk({{"id", std::to_string(*id)}, {"config", *rendered}});
+  return FormatOk({{"id", std::to_string(id)}, {"config", *rendered}});
 }
 
-std::string HandleSave(TuningServer& server, const Command& command) {
-  std::string path = GetStringOr(command, "path", "");
-  if (path.empty()) {
-    return FormatError(util::Status::InvalidArgument("SAVE needs path=..."));
-  }
-  util::Status saved = server.SaveCheckpoint(path);
+std::string HandleSave(CheckedRequest& request) {
+  const std::string path = request.Get<std::string>("path");
+  util::Status saved = request.server.SaveCheckpoint(path);
   if (!saved.ok()) return FormatError(saved);
-  return FormatOk({{"path", path},
-                   {"rounds", std::to_string(server.rounds_completed())}});
+  return FormatOk(
+      {{"path", path},
+       {"rounds", std::to_string(request.server.rounds_completed())}});
 }
 
-std::string HandleRestore(TuningServer& server, const Command& command) {
-  std::string path = GetStringOr(command, "path", "");
-  if (path.empty()) {
-    return FormatError(util::Status::InvalidArgument("RESTORE needs path=..."));
-  }
-  auto report = server.RestoreCheckpoint(path);
+std::string HandleRestore(CheckedRequest& request) {
+  auto report =
+      request.server.RestoreCheckpoint(request.Get<std::string>("path"));
   if (!report.ok()) return FormatError(report.status());
   return FormatOk({{"path", report->path},
                    {"generation", std::to_string(report->generation)},
@@ -214,60 +215,38 @@ std::string HandleRestore(TuningServer& server, const Command& command) {
                    {"rounds", std::to_string(report->rounds_completed)}});
 }
 
-/// Parses a dash-separated width list ("128-96-64"); empty input stays an
-/// empty vector (keep the current architecture).
-util::StatusOr<std::vector<size_t>> ParseWidths(const std::string& text) {
+/// Parses a dash-separated width list ("128-96-64"), the one argument whose
+/// text has structure of its own. DdpgOptions::Validate bounds the widths.
+util::StatusOr<std::vector<size_t>> ParseWidths(std::string_view text) {
   std::vector<size_t> widths;
-  size_t pos = 0;
-  while (pos < text.size()) {
-    size_t dash = text.find('-', pos);
-    if (dash == std::string::npos) dash = text.size();
-    const std::string part = text.substr(pos, dash - pos);
-    size_t consumed = 0;
-    unsigned long value = 0;
-    try {
-      value = std::stoul(part, &consumed);
-    } catch (...) {
-      consumed = 0;
-    }
-    if (consumed != part.size() || part.empty() || value == 0) {
-      return util::Status::InvalidArgument("bad layer width '" + part +
+  for (const char *at = text.data(), *end = at + text.size(); at < end; ++at) {
+    size_t width = 0;
+    const auto [next, error] = std::from_chars(at, end, width);
+    if (error != std::errc() || (next != end && *next != '-')) {
+      return util::Status::InvalidArgument("bad layer widths '" +
+                                           std::string(text) +
                                            "' (want e.g. 128-96-64)");
     }
-    widths.push_back(static_cast<size_t>(value));
-    pos = dash + 1;
-  }
-  if (widths.empty()) {
-    return util::Status::InvalidArgument("empty width list");
+    widths.push_back(width);
+    at = next;
   }
   return widths;
 }
 
-std::string HandleRebuild(TuningServer& server, const Command& command) {
+std::string HandleRebuild(CheckedRequest& request) {
   RebuildSpec spec;
-  const std::string actor = GetStringOr(command, "actor_hidden", "");
-  if (!actor.empty()) {
-    auto widths = ParseWidths(actor);
-    if (!widths.ok()) return FormatError(widths.status());
-    spec.actor_hidden = std::move(*widths);
+  for (auto [key, widths] : {std::pair{"actor_hidden", &spec.actor_hidden},
+                             std::pair{"critic_hidden", &spec.critic_hidden}}) {
+    // An absent key keeps the current architecture.
+    auto parsed = ParseWidths(request.Get<std::string_view>(key));
+    if (!parsed.ok()) return FormatError(parsed.status());
+    *widths = std::move(*parsed);
   }
-  const std::string critic = GetStringOr(command, "critic_hidden", "");
-  if (!critic.empty()) {
-    auto widths = ParseWidths(critic);
-    if (!widths.ok()) return FormatError(widths.status());
-    spec.critic_hidden = std::move(*widths);
-  }
-  auto embed = GetIntOr(command, "critic_embed", 0, 0, kInt64Max);
-  if (!embed.ok()) return FormatError(embed.status());
-  spec.critic_embed = static_cast<size_t>(*embed);
-  auto seed = GetIntOr(command, "seed", 0, 0, kInt64Max);
-  if (!seed.ok()) return FormatError(seed.status());
-  spec.seed = static_cast<uint64_t>(*seed);
-  auto train = GetIntOr(command, "train", 0, kIntMin, kIntMax);
-  if (!train.ok()) return FormatError(train.status());
-  spec.train_iters = static_cast<int>(*train);
+  spec.critic_embed = request.Get("critic_embed", spec.critic_embed);
+  spec.seed = request.Get("seed", spec.seed);
+  spec.train_iters = request.Get("train", spec.train_iters);
 
-  auto report = server.Rebuild(spec);
+  auto report = request.server.Rebuild(spec);
   if (!report.ok()) return FormatError(report.status());
   return FormatOk({{"experiences", std::to_string(report->experiences)},
                    {"params_before", std::to_string(report->params_before)},
@@ -275,60 +254,136 @@ std::string HandleRebuild(TuningServer& server, const Command& command) {
                    {"trained", std::to_string(spec.train_iters)}});
 }
 
-std::string HandleClose(TuningServer& server, const Command& command) {
-  auto id = GetInt(command, "id", kIntMin, kIntMax);
-  if (!id.ok()) return FormatError(id.status());
-  auto result = server.Close(static_cast<int>(*id));
+std::string HandleClose(CheckedRequest& request) {
+  const int id = request.Get<int>("id");
+  auto result = request.server.Close(id);
   if (!result.ok()) return FormatError(result.status());
-  return FormatOk({{"id", std::to_string(*id)},
+  return FormatOk({{"id", std::to_string(id)},
                    {"steps", std::to_string(result->steps)},
                    {"tps0", FormatDouble(result->initial.throughput)},
                    {"best_tps", FormatDouble(result->best.throughput)},
                    {"best_p99", FormatDouble(result->best.latency)}});
 }
 
+/// Checks one argument's text against its row into *out.
+util::Status CheckValue(const ArgRow& arg, const std::string& text,
+                        CheckedRequest::Value* out) {
+  out->text = text;
+  if (arg.type == ArgRow::Type::kString) return util::Status::Ok();
+  const char* last = text.data() + text.size();
+  const std::from_chars_result parsed =
+      arg.type == ArgRow::Type::kInt
+          ? std::from_chars(text.data(), last, out->integer)
+          : std::from_chars(text.data(), last, out->real);
+  // Text too large for the type is still a number, just out of range.
+  const bool number =
+      parsed.ec != std::errc::invalid_argument && parsed.ptr == last;
+  std::string why;
+  if (arg.type == ArgRow::Type::kDouble) {
+    if (!number || parsed.ec != std::errc() || !std::isfinite(out->real)) {
+      why = "is not a finite number";
+    }
+  } else if (!number) {
+    why = "is not an integer";
+  } else if (parsed.ec != std::errc() || out->integer < arg.lo ||
+             out->integer > arg.hi) {
+    why = "is outside [" + std::to_string(arg.lo) + ", " +
+          std::to_string(arg.hi) + "]";
+  }
+  if (why.empty()) return util::Status::Ok();
+  return util::Status::InvalidArgument("argument " + std::string(arg.key) +
+                                       "=" + text + " " + why);
+}
+
 }  // namespace
 
-DispatchResult Dispatcher::Dispatch(const std::string& request) const {
-  TuningServer& server = *server_;
-  DispatchResult result;
-  auto parsed = ParseCommand(request);
-  if (!parsed.ok()) {
-    result.response = FormatError(parsed.status());
-    return result;
-  }
-  const Command& command = *parsed;
+const std::vector<VerbRow>& Grammar() {
+  using T = ArgRow::Type;
+  constexpr bool kRequired = true;
+  constexpr bool kOptional = false;
+  // Ranges of the types values are narrowed to: int for ids and step
+  // budgets, the non-negative int64 values for uint64_t / size_t fields.
+  constexpr int64_t kIntMin = std::numeric_limits<int>::min();
+  constexpr int64_t kIntMax = std::numeric_limits<int>::max();
+  constexpr int64_t kInt64Max = std::numeric_limits<int64_t>::max();
+  // Work caps: 100 is 10x the largest ROUND n any test, tool or doc sends;
+  // 1000 gradient steps hold the exclusive barrier for ~7.5 s.
+  constexpr int64_t kMaxSteps = 100;
+  constexpr int64_t kMaxTrain = 1000;
+  constexpr ArgRow id{"id", T::kInt, kRequired, kIntMin, kIntMax};
+  constexpr ArgRow path{"path", T::kString, kRequired};
+  static const std::vector<VerbRow> kGrammar = {
+      {"PING", [](CheckedRequest&) { return FormatOk({{"pong", "1"}}); }, {}},
+      {"OPEN",
+       HandleOpen,
+       {{"engine", T::kString},
+        {"workload", T::kString},
+        {"seed", T::kInt, kOptional, 0, kInt64Max},
+        {"steps", T::kInt, kOptional, kIntMin, kIntMax},
+        {"rows", T::kInt, kOptional, 0, kInt64Max},
+        {"stress_s", T::kDouble},
+        {"safety", T::kInt, kOptional, -1, 1},
+        {"degrade", T::kString},
+        {"degrade_after", T::kInt, kOptional, 0, kInt64Max},
+        {"degrade_sev", T::kDouble},
+        {"ram_gb", T::kDouble},
+        {"disk_gb", T::kDouble}}},
+      {"STEP", HandleStep, {id, {"n", T::kInt, kOptional, 1, kMaxSteps}}},
+      {"ROUND", HandleRound, {{"n", T::kInt, kOptional, 1, kMaxSteps}}},
+      {"TRAIN", HandleTrain, {{"n", T::kInt, kRequired, 0, kMaxTrain}}},
+      {"STATUS", HandleStatus, {{"id", T::kInt, kOptional, kIntMin, kIntMax}}},
+      {"BEST_CONFIG", HandleBestConfig, {id}},
+      {"CLOSE", HandleClose, {id}},
+      {"SAVE", HandleSave, {path}},
+      {"RESTORE", HandleRestore, {path}},
+      {"REBUILD",
+       HandleRebuild,
+       {{"actor_hidden", T::kString},
+        {"critic_embed", T::kInt, kOptional, 0, kInt64Max},
+        {"critic_hidden", T::kString},
+        {"seed", T::kInt, kOptional, 0, kInt64Max},
+        {"train", T::kInt, kOptional, 0, kMaxTrain}}},
+      {"SHUTDOWN",
+       [](CheckedRequest& request) {
+         request.shutdown = true;
+         return FormatOk({{"bye", "1"}});
+       },
+       {}},
+  };
+  return kGrammar;
+}
 
-  if (command.verb == "PING") {
-    result.response = FormatOk({{"pong", "1"}});
-  } else if (command.verb == "OPEN") {
-    result.response = HandleOpen(server, command);
-  } else if (command.verb == "STEP") {
-    result.response = HandleStep(server, command);
-  } else if (command.verb == "ROUND") {
-    result.response = HandleRound(server, command);
-  } else if (command.verb == "TRAIN") {
-    result.response = HandleTrain(server, command);
-  } else if (command.verb == "STATUS") {
-    result.response = HandleStatus(server, command, transports_);
-  } else if (command.verb == "BEST_CONFIG") {
-    result.response = HandleBestConfig(server, command);
-  } else if (command.verb == "CLOSE") {
-    result.response = HandleClose(server, command);
-  } else if (command.verb == "SAVE") {
-    result.response = HandleSave(server, command);
-  } else if (command.verb == "RESTORE") {
-    result.response = HandleRestore(server, command);
-  } else if (command.verb == "REBUILD") {
-    result.response = HandleRebuild(server, command);
-  } else if (command.verb == "SHUTDOWN") {
-    result.shutdown = true;
-    result.response = FormatOk({{"bye", "1"}});
-  } else {
-    result.response = FormatError(
-        util::Status::NotFound("unknown verb '" + command.verb + "'"));
+DispatchResult Dispatcher::Dispatch(const std::string& request) const {
+  auto parsed = ParseCommand(request);
+  if (!parsed.ok()) return {FormatError(parsed.status())};
+  const std::vector<VerbRow>& grammar = Grammar();
+  const auto row = std::find_if(
+      grammar.begin(), grammar.end(),
+      [&](const VerbRow& r) { return r.verb == parsed->verb; });
+  if (row == grammar.end()) {
+    return {FormatError(
+        util::Status::NotFound("unknown verb '" + parsed->verb + "'"))};
   }
-  return result;
+  CheckedRequest checked{*server_, transports_, *row,
+                         std::vector<CheckedRequest::Value>(row->args.size())};
+  for (const auto& [key, text] : parsed->args) {
+    const size_t i = checked.Index(key);
+    util::Status valid =
+        i < row->args.size()
+            ? CheckValue(row->args[i], text, &checked.values[i])
+            : util::Status::InvalidArgument(parsed->verb +
+                                            " has no argument '" + key + "'");
+    if (!valid.ok()) return {FormatError(valid)};
+  }
+  for (size_t i = 0; i < row->args.size(); ++i) {
+    if (row->args[i].required && checked.values[i].text.empty()) {
+      return {FormatError(util::Status::InvalidArgument(
+          "missing required argument '" + std::string(row->args[i].key) +
+          "'"))};
+    }
+  }
+  std::string response = row->handler(checked);
+  return {std::move(response), checked.shutdown};
 }
 
 }  // namespace cdbtune::server

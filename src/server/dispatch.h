@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "server/tuning_server.h"
@@ -52,32 +53,47 @@ struct DispatchResult {
   bool shutdown = false;
 };
 
+/// One argument row of the request grammar. [lo, hi] is an int value's
+/// inclusive range: the range of the type its handler narrows it to, or a
+/// cap on the work one request may ask for.
+struct ArgRow {
+  enum class Type { kInt, kDouble, kString };
+  std::string_view key;
+  Type type = Type::kString;
+  bool required = false;
+  int64_t lo = 0;
+  int64_t hi = 0;
+};
+
+/// A request whose arguments passed its verb's row (defined in dispatch.cc).
+struct CheckedRequest;
+
+/// One verb of the request grammar: its handler and its argument rows.
+struct VerbRow {
+  std::string_view verb;
+  std::string (*handler)(CheckedRequest& request);
+  std::vector<ArgRow> args;
+};
+
+/// The request grammar, one row per verb: the one statement of which verbs
+/// and keys exist and which values they take. Read-only; the dispatcher
+/// and the grammar fuzzer read the same rows.
+const std::vector<VerbRow>& Grammar();
+
 /// The transport-agnostic command dispatcher: the TCP front end and
 /// in-process drivers hand their decoded request payloads here, so the
 /// verb set, argument grammar, and server semantics exist exactly once.
 /// Thread-safe for concurrent Dispatch once serving starts;
 /// RegisterTransport is wiring-time only (before the front end Start()s).
 ///
-/// Verbs:
-///   PING
-///   OPEN   [engine=sim|mini] [workload=sysbench_rw|...] [seed=N] [steps=N]
-///          [ram_gb=X] [disk_gb=X] [rows=N] [stress_s=X]
-///   STEP   id=N [n=K]           — K tuning steps (default 1)
-///   ROUND  [n=K]                — K concurrent all-session rounds
-///   TRAIN  n=K                  — merge experiences + K gradient steps
-///   STATUS [id=N]               — one session, or a summary of all plus
-///                                 per-transport connection/back-pressure
-///                                 telemetry (see TransportStats)
-///   BEST_CONFIG id=N            — knobs differing from the engine default
-///   CLOSE  id=N                 — finish session, deploy best config
-///   SAVE   path=P               — atomic full-state checkpoint at P
-///   RESTORE path=P              — rebuild the server from a checkpoint
-///                                 (falls back past torn generations)
-///   REBUILD [actor_hidden=128-96-64] [critic_embed=N]
-///           [critic_hidden=256-64] [seed=N] [train=K]
-///                               — warm-start a reshaped agent from the
-///                                 experience pool (Table 6, live)
-///   SHUTDOWN
+/// Every request takes one path: ParseCommand, its verb's row in Grammar(),
+/// then the handler. No handler runs until the row has rejected, with
+/// INVALID_ARGUMENT naming the key, an unknown, repeated or missing
+/// required key, an integer that is malformed or outside its row's range
+/// (the work caps: STEP and ROUND n in [1, 100], TRAIN n and REBUILD train
+/// in [0, 1000]), and a double that is not a finite number. An unknown verb
+/// is NOT_FOUND. SessionSpec::Validate and DdpgOptions::Validate answer
+/// INVALID_ARGUMENT on the wire and DATA_LOSS from a checkpoint.
 class Dispatcher {
  public:
   explicit Dispatcher(TuningServer* server) : server_(server) {}

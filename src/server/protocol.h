@@ -1,7 +1,6 @@
 #ifndef CDBTUNE_SERVER_PROTOCOL_H_
 #define CDBTUNE_SERVER_PROTOCOL_H_
 
-#include <cstdint>
 #include <map>
 #include <string>
 #include <utility>
@@ -26,8 +25,10 @@ struct Command {
   std::map<std::string, std::string> args;
 };
 
-/// Parses one request line. Fails on an empty line or a malformed
-/// (key-without-value) argument.
+/// Parses one request line. Fails on an empty line, a malformed argument
+/// (no key or no value), or a repeated key. Whether the verb and its
+/// keys exist, and what their values may be, is the dispatcher's request
+/// grammar (server::Grammar in dispatch.h).
 util::StatusOr<Command> ParseCommand(const std::string& line);
 
 /// Renders "OK k1=v1 k2=v2 ..." (pairs kept in the given order).
@@ -39,20 +40,6 @@ std::string FormatError(const util::Status& status);
 
 /// Shortest-round-trip decimal rendering of a double (%.17g).
 std::string FormatDouble(double value);
-
-/// Argument accessors. The Get*Or forms return `fallback` when the key is
-/// absent; all fail with InvalidArgument on an unparsable value. The
-/// integer forms also fail with InvalidArgument on a value outside the
-/// inclusive range [lo, hi]: pass the range of the type the value is
-/// narrowed to, so it is checked before any cast.
-util::StatusOr<int64_t> GetInt(const Command& command, const std::string& key,
-                               int64_t lo, int64_t hi);
-util::StatusOr<int64_t> GetIntOr(const Command& command, const std::string& key,
-                                 int64_t fallback, int64_t lo, int64_t hi);
-util::StatusOr<double> GetDoubleOr(const Command& command,
-                                   const std::string& key, double fallback);
-std::string GetStringOr(const Command& command, const std::string& key,
-                        const std::string& fallback);
 
 /// Maps a protocol workload name ("sysbench_rw", "sysbench_ro",
 /// "sysbench_wo", "tpcc", "tpch", "ycsb") to its factory spec.

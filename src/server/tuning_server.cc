@@ -1,7 +1,8 @@
 #include "server/tuning_server.h"
 
+#include <cmath>
 #include <functional>
-#include <limits>
+#include <initializer_list>
 #include <utility>
 
 #include "engine/mini_cdb.h"
@@ -58,6 +59,10 @@ util::Status LoadWorkloadSpecBinary(persist::Decoder& dec,
   if (type > static_cast<uint8_t>(workload::WorkloadType::kReplay)) {
     return util::Status::DataLoss("unknown workload type in checkpoint");
   }
+  if (!std::in_range<int>(client_threads)) {
+    return util::Status::DataLoss(
+        "checkpoint workload thread count overflows int");
+  }
   w.type = static_cast<workload::WorkloadType>(type);
   w.client_threads = static_cast<int>(client_threads);
   *out = std::move(w);
@@ -84,6 +89,9 @@ util::Status LoadHardwareSpecBinary(persist::Decoder& dec,
   }
   if (disk_type > static_cast<uint8_t>(env::DiskType::kNvm)) {
     return util::Status::DataLoss("unknown disk type in checkpoint");
+  }
+  if (!std::in_range<int>(cores)) {
+    return util::Status::DataLoss("checkpoint core count overflows int");
   }
   h.cpu_cores = static_cast<int>(cores);
   h.disk_type = static_cast<env::DiskType>(disk_type);
@@ -118,10 +126,7 @@ util::Status LoadSessionSpecBinary(persist::Decoder& dec, SessionSpec* out) {
       !dec.ReadDouble(&s.degrade_severity)) {
     return dec.status();
   }
-  if (max_steps <= 0) {
-    return util::Status::DataLoss("checkpoint session has no step budget");
-  }
-  if (max_steps > std::numeric_limits<int>::max()) {
+  if (!std::in_range<int>(max_steps)) {
     return util::Status::DataLoss(
         "checkpoint session step budget overflows int");
   }
@@ -142,18 +147,70 @@ tuner::TuningSessionOptions SessionOptionsFor(
   session_options.stress_duration_s = spec.stress_duration_s >= 0.0
                                           ? spec.stress_duration_s
                                           : server_options.stress_duration_s;
-  session_options.reward_type = server_options.reward_type;
-  session_options.throughput_coeff = server_options.throughput_coeff;
-  session_options.latency_coeff = server_options.latency_coeff;
-  session_options.reward_clip = server_options.reward_clip;
-  session_options.reward_scale = server_options.reward_scale;
   session_options.safety = server_options.safety;
   if (spec.safety == 0) session_options.safety.enabled = false;
   if (spec.safety == 1) session_options.safety.enabled = true;
   return session_options;
 }
 
+engine::MiniCdbOptions MiniOptionsFor(const SessionSpec& spec) {
+  engine::MiniCdbOptions options;
+  options.table_rows = spec.mini_table_rows;
+  options.seed = spec.seed;
+  return options;
+}
+
 }  // namespace
+
+util::Status SessionSpec::Validate() const {
+  // 24x the paper's ~150 s stress test.
+  constexpr double kMaxStressS = 3600.0;
+  constexpr double kMaxMiniBytes = 256.0 * 1024 * 1024;
+  if (max_steps < 1) {
+    return util::Status::InvalidArgument("steps must be >= 1");
+  }
+  if (!std::isfinite(stress_duration_s) || stress_duration_s == 0.0 ||
+      stress_duration_s > kMaxStressS) {
+    return util::Status::InvalidArgument(
+        "stress_s must be finite and < 0 (server default) or in (0, 3600]");
+  }
+  if (!(std::isfinite(hardware.ram_gb) && hardware.ram_gb > 0.0 &&
+        std::isfinite(hardware.disk_gb) && hardware.disk_gb > 0.0 &&
+        hardware.cpu_cores >= 1)) {
+    return util::Status::InvalidArgument(
+        "ram_gb and disk_gb must be finite and > 0, cpu_cores >= 1");
+  }
+  if (engine == "mini" &&
+      engine::MiniCdb::ScaleFor(MiniOptionsFor(*this)) *
+              (hardware.ram_bytes() + hardware.disk_bytes()) >
+          kMaxMiniBytes) {
+    return util::Status::InvalidArgument(
+        "a mini instance of this many rows, ram_gb and disk_gb needs over "
+        "256 MiB of scaled buffer frames and pages");
+  }
+  if (!(degrade_severity >= 0.0 && degrade_severity < 1.0)) {
+    return util::Status::InvalidArgument("degrade_sev must be in [0, 1)");
+  }
+  const workload::WorkloadSpec& w = workload;
+  for (double fraction : {w.read_fraction, w.scan_fraction, w.insert_fraction,
+                          w.sort_heavy_fraction}) {
+    if (!(fraction >= 0.0 && fraction <= 1.0)) {
+      return util::Status::InvalidArgument(
+          "workload fractions must be in [0, 1]");
+    }
+  }
+  for (double value : {w.scan_length, w.data_size_gb, w.working_set_gb,
+                       w.access_skew, w.ops_per_txn}) {
+    if (!std::isfinite(value)) {
+      return util::Status::InvalidArgument("workload numbers must be finite");
+    }
+  }
+  if (w.client_threads < 1) {
+    return util::Status::InvalidArgument(
+        "workload client_threads must be >= 1");
+  }
+  return util::Status::Ok();
+}
 
 /// The per-tenant world: environment, exploration stream, experience shard.
 /// While a step is in flight exactly one thread owns the whole object (the
@@ -162,14 +219,13 @@ tuner::TuningSessionOptions SessionOptionsFor(
 struct TuningServer::Session {
   Session(TuningServer* server, int id_in, SessionSpec spec_in, size_t shard_in,
           std::unique_ptr<env::DbInterface> db_in,
-          tuner::MetricsCollector collector_in, size_t action_dim,
-          double noise_theta, double noise_sigma)
+          tuner::MetricsCollector collector_in, const rl::DdpgOptions& model)
       : id(id_in),
         spec(std::move(spec_in)),
         shard(shard_in),
         db(std::move(db_in)),
         collector(std::move(collector_in)),
-        noise(action_dim, noise_theta, noise_sigma,
+        noise(model.action_dim, model.noise_theta, model.noise_sigma,
               util::Rng(spec.seed ^ kNoiseSeedSalt)),
         policy(server, &noise),
         sink(&server->shards_, shard) {}
@@ -248,11 +304,8 @@ util::StatusOr<std::unique_ptr<env::DbInterface>> TuningServer::MakeDb(
         "degrade injection is only supported by engine=sim");
   }
   if (spec.engine == "mini") {
-    engine::MiniCdbOptions options;
-    options.table_rows = spec.mini_table_rows;
-    options.seed = spec.seed;
     return std::unique_ptr<env::DbInterface>(
-        std::make_unique<engine::MiniCdb>(spec.hardware, options));
+        std::make_unique<engine::MiniCdb>(spec.hardware, MiniOptionsFor(spec)));
   }
   return util::Status::InvalidArgument("unknown engine '" + spec.engine +
                                        "' (want sim|mini)");
@@ -291,22 +344,23 @@ util::StatusOr<std::unique_ptr<TuningServer::Session>>
 TuningServer::ProvisionSession(int id, const SessionSpec& spec, size_t shard,
                                tuner::MetricsCollector collector,
                                const rl::DdpgOptions& model,
-                               util::StatusCode mismatch) {
+                               util::StatusCode invalid) {
+  util::Status valid = spec.Validate();
+  if (!valid.ok()) {
+    return util::Status(invalid, "session " + std::to_string(id) + ": " +
+                                     valid.message());
+  }
   auto db = MakeDb(spec);
   CDBTUNE_RETURN_IF_ERROR(db.status());
   knobs::KnobSpace space = knobs::KnobSpace::AllTunable(&(*db)->registry());
   if (space.action_dim() != model.action_dim) {
-    return util::Status(mismatch, "session " + std::to_string(id) +
-                                      ": engine knob space does not match "
-                                      "the model's action space");
+    return util::Status(invalid, "session " + std::to_string(id) +
+                                     ": engine knob space does not match "
+                                     "the model's action space");
   }
-  const double noise_theta = options_.noise_theta >= 0.0 ? options_.noise_theta
-                                                         : model.noise_theta;
-  const double noise_sigma = options_.noise_sigma >= 0.0 ? options_.noise_sigma
-                                                         : model.noise_sigma;
-  auto session = std::make_unique<Session>(
-      this, id, spec, shard, std::move(*db), std::move(collector),
-      model.action_dim, noise_theta, noise_sigma);
+  auto session = std::make_unique<Session>(this, id, spec, shard,
+                                           std::move(*db),
+                                           std::move(collector), model);
   session->tuning = std::make_unique<tuner::TuningSession>(
       session->db.get(), std::move(space), session->spec.workload,
       &session->collector, &session->policy, &session->sink,
@@ -315,9 +369,6 @@ TuningServer::ProvisionSession(int id, const SessionSpec& spec, size_t shard,
 }
 
 util::StatusOr<int> TuningServer::Open(const SessionSpec& spec) {
-  if (spec.max_steps <= 0) {
-    return util::Status::InvalidArgument("max_steps must be positive");
-  }
   rl::DdpgOptions model;
   tuner::MetricsCollector collector;
   {
@@ -692,8 +743,7 @@ util::Status TuningServer::AppendCheckpointChunks(
 util::Status TuningServer::SaveCheckpointExclusive(const std::string& path) {
   persist::ChunkWriter writer;
   CDBTUNE_RETURN_IF_ERROR(AppendCheckpointChunks(writer));
-  return persist::CheckpointStore(path, options_.checkpoint_keep)
-      .Write(writer);
+  return persist::CheckpointStore(path).Write(writer);
 }
 
 util::Status TuningServer::SaveCheckpoint(const std::string& path) {
@@ -708,7 +758,7 @@ util::Status TuningServer::SaveCheckpoint(const std::string& path) {
 
 util::StatusOr<RestoreReport> TuningServer::RestoreCheckpoint(
     const std::string& path) {
-  persist::CheckpointStore store(path, options_.checkpoint_keep);
+  persist::CheckpointStore store(path);
   auto loaded = store.Load();
   CDBTUNE_RETURN_IF_ERROR(loaded.status());
   const persist::ChunkFile& file = loaded->file;
@@ -881,6 +931,7 @@ util::StatusOr<RebuildReport> TuningServer::Rebuild(const RebuildSpec& spec) {
       rebuilt.critic_hidden = spec.critic_hidden;
     }
     if (spec.seed != 0) rebuilt.seed = spec.seed;
+    CDBTUNE_RETURN_IF_ERROR(rebuilt.Validate());
 
     RebuildReport report;
     report.params_before = agent_->NumParameters();

@@ -53,6 +53,15 @@ struct SessionSpec {
   std::string degrade_knob;
   uint64_t degrade_after = 0;
   double degrade_severity = 0.0;
+
+  /// InvalidArgument unless the spec is safe to provision: max_steps >= 1;
+  /// stress_duration_s finite and < 0 or in (0, 3600]; finite RAM and disk
+  /// above 0 and at least one core; for "mini", at most 256 MiB of scaled
+  /// RAM + disk (the most MiniCdb can allocate for buffer frames and
+  /// pages); degrade_severity in [0, 1); workload numbers finite, fractions
+  /// in [0, 1], client_threads >= 1. The server runs it on every spec it
+  /// builds a session from, off the wire or out of a checkpoint.
+  util::Status Validate() const;
 };
 
 /// Point-in-time view of one session, safe to read while the session is
@@ -95,26 +104,12 @@ struct TuningServerOptions {
   /// experiences. 0 freezes the model: sessions become fully independent
   /// given the adopted weights (the pool still records everything).
   int train_iters_per_round = 0;
-  /// Reward shaping, mirroring CdbTuneOptions.
-  tuner::RewardFunctionType reward_type = tuner::RewardFunctionType::kCdbTune;
-  double throughput_coeff = 0.5;
-  double latency_coeff = 0.5;
-  double reward_clip = 20.0;
-  double reward_scale = 0.05;
-  /// Per-session Ornstein-Uhlenbeck exploration around the fine-tuned
-  /// policy. Negative (the default) inherits the adopted model's noise
-  /// parameters; combined with the seed derivation below, a frozen-model
-  /// session then reproduces the classic single-tenant OnlineTune loop
-  /// bitwise for the same seed.
-  double noise_theta = -1.0;
-  double noise_sigma = -1.0;
   /// When non-empty, StepRound writes a full checkpoint to this path every
   /// `autosave_every_rounds` completed rounds (atomically, rotating
-  /// `checkpoint_keep` generations). A kill -9 between rounds then loses at
-  /// most one round of work.
+  /// CheckpointStore's default generations). A kill -9 between rounds then
+  /// loses at most one round of work.
   std::string autosave_path;
   int autosave_every_rounds = 1;
-  int checkpoint_keep = 3;
   /// Server-wide guardrail defaults; per-session SessionSpec::safety
   /// overrides enablement (DESIGN.md §12).
   safety::GuardrailOptions safety;
@@ -228,14 +223,16 @@ class TuningServer {
   /// pool, normalization statistics, best offline action, and every open
   /// session (spec, progress, exploration stream, environment history) — as
   /// one chunked checkpoint at `path`, atomically, rotating
-  /// `options().checkpoint_keep` generations. Runs at a round barrier: it
+  /// CheckpointStore's default generations. Runs at a round barrier: it
   /// waits for in-flight steps, exactly like Train.
   util::Status SaveCheckpoint(const std::string& path);
 
   /// Rebuilds the server from a checkpoint written by SaveCheckpoint:
   /// fresh agent (constructed from the checkpoint's recorded options), pool,
   /// statistics, and re-provisioned sessions whose environments are replayed
-  /// call-by-call to their saved state. Falls back generation-by-generation
+  /// call-by-call to their saved state. Agent options and session specs are
+  /// validated before anything is built from them (DATA_LOSS when they are
+  /// out of range). Falls back generation-by-generation
   /// past torn or corrupt files. Requires a server with no open sessions and
   /// matching pool shape; on any failure the server is left untouched
   /// (everything is staged and validated before the swap).
@@ -246,7 +243,8 @@ class TuningServer {
   /// fresh agent with `spec`'s architecture overrides, replays every
   /// retained experience into it, applies `spec.train_iters` gradient
   /// steps, and swaps it in as the shared model. Open sessions carry on
-  /// against the new model.
+  /// against the new model. InvalidArgument, before anything is built, when
+  /// the merged options fail DdpgOptions::Validate.
   util::StatusOr<RebuildReport> Rebuild(const RebuildSpec& spec);
 
   /// StepRound barriers completed since construction (or restore).
@@ -311,14 +309,15 @@ class TuningServer {
   static util::StatusOr<std::unique_ptr<env::DbInterface>> MakeDb(
       const SessionSpec& spec);
 
-  /// The one session builder behind Open and RestoreCheckpoint: provisions
-  /// the instance, requires its knob space to match `model`'s action space
-  /// (else a `mismatch`-coded error), and wires the exploration stream
-  /// (server noise options, else the model's) and the TuningSession.
+  /// The one session builder behind Open and RestoreCheckpoint: validates
+  /// `spec`, provisions the instance, requires its knob space to match
+  /// `model`'s action space (either failure is an `invalid`-coded error),
+  /// and wires the exploration stream (the model's OU parameters) and the
+  /// TuningSession.
   util::StatusOr<std::unique_ptr<Session>> ProvisionSession(
       int id, const SessionSpec& spec, size_t shard,
       tuner::MetricsCollector collector, const rl::DdpgOptions& model,
-      util::StatusCode mismatch);
+      util::StatusCode invalid);
 
   /// Refreshes `slot`'s status snapshot from its TuningSession. The slot's
   /// session must not be mid-step on another thread.

@@ -1,5 +1,8 @@
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -100,24 +103,10 @@ TEST(ProtocolTest, RejectsMalformedInput) {
   EXPECT_FALSE(ParseCommand("   ").ok());
   EXPECT_FALSE(ParseCommand("STEP id").ok());
   EXPECT_FALSE(ParseCommand("STEP =3").ok());
-}
-
-TEST(ProtocolTest, AccessorsValidate) {
-  auto command = ParseCommand("STEP id=3 frac=0.5 bad=xyz");
-  ASSERT_TRUE(command.ok());
-  EXPECT_EQ(GetInt(*command, "id", 0, 10).value(), 3);
-  EXPECT_FALSE(GetInt(*command, "missing", 0, 10).ok());
-  EXPECT_EQ(GetIntOr(*command, "missing", 7, 0, 10).value(), 7);
-  EXPECT_FALSE(GetIntOr(*command, "bad", 7, 0, 10).ok());
-  // The range is inclusive; a value outside it is InvalidArgument.
-  EXPECT_EQ(GetInt(*command, "id", 3, 3).value(), 3);
-  EXPECT_EQ(GetInt(*command, "id", 4, 10).status().code(),
-            util::StatusCode::kInvalidArgument);
-  EXPECT_EQ(GetIntOr(*command, "id", 1, 0, 2).status().code(),
-            util::StatusCode::kInvalidArgument);
-  EXPECT_EQ(GetDoubleOr(*command, "frac", 0.0).value(), 0.5);
-  EXPECT_FALSE(GetDoubleOr(*command, "bad", 0.0).ok());
-  EXPECT_EQ(GetStringOr(*command, "missing", "dflt"), "dflt");
+  EXPECT_FALSE(ParseCommand("STEP id=").ok());
+  auto repeated = ParseCommand("TRAIN n=2147483647 n=0");
+  ASSERT_FALSE(repeated.ok());
+  EXPECT_EQ(repeated.status().message(), "repeated argument 'n'");
 }
 
 TEST(ProtocolTest, DoubleFormattingRoundTrips) {
@@ -134,26 +123,32 @@ TEST(ProtocolTest, WorkloadNamesResolve) {
 
 // --- TuningServer ------------------------------------------------------------
 
-/// One standard model trained once and shared by every server test (its
-/// weights are only ever cloned, never mutated).
-tuner::CdbTuner& SharedTrainedTuner() {
+/// Trains a standard model on CDB-A (seeded with options.seed) and keeps it
+/// for the rest of the process; its weights are only ever cloned, never
+/// mutated.
+tuner::CdbTuner& TrainStandardModel(tuner::CdbTuneOptions options) {
   struct Model {
     std::unique_ptr<env::SimulatedCdb> db;
     std::unique_ptr<tuner::CdbTuner> tuner;
   };
-  static Model* model = [] {
-    auto* m = new Model;
-    m->db = env::SimulatedCdb::MysqlCdb(env::CdbA(), 71);
-    auto space = knobs::KnobSpace::AllTunable(&m->db->registry());
+  auto* m = new Model;
+  m->db = env::SimulatedCdb::MysqlCdb(env::CdbA(), options.seed);
+  auto space = knobs::KnobSpace::AllTunable(&m->db->registry());
+  m->tuner = std::make_unique<tuner::CdbTuner>(m->db.get(), space, options);
+  m->tuner->OfflineTrain(workload::SysbenchReadWrite());
+  return *m->tuner;
+}
+
+/// One standard model trained once and shared by every server test.
+tuner::CdbTuner& SharedTrainedTuner() {
+  static tuner::CdbTuner& model = []() -> tuner::CdbTuner& {
     tuner::CdbTuneOptions options;
     options.max_offline_steps = 40;
     options.steps_per_episode = 10;
     options.seed = 71;
-    m->tuner = std::make_unique<tuner::CdbTuner>(m->db.get(), space, options);
-    m->tuner->OfflineTrain(workload::SysbenchReadWrite());
-    return m;
+    return TrainStandardModel(options);
   }();
-  return *model->tuner;
+  return model;
 }
 
 std::vector<SessionSpec> TestSpecs(size_t count) {
@@ -509,6 +504,127 @@ TEST(DispatchTest, StepBudgetBeyondIntIsRejected) {
   EXPECT_EQ(server.open_sessions(), 0u);
 }
 
+// What the removed per-key accessors checked, now checked by the grammar
+// rows: a missing required key, an absent optional key's default, a value
+// that is not an integer or not a number, and both inclusive bounds.
+TEST(DispatchTest, ArgumentsFollowTheGrammar) {
+  TuningServer server;
+  ASSERT_TRUE(server.AdoptModel(SharedTrainedTuner()).ok());
+  EXPECT_EQ(Dispatch(server, "STEP"),
+            "ERR INVALID_ARGUMENT missing required argument 'id'");
+  EXPECT_EQ(Dispatch(server, "SAVE"),
+            "ERR INVALID_ARGUMENT missing required argument 'path'");
+  // Absent keys keep their defaults: engine=sim, workload=sysbench_rw,
+  // steps=5, STEP and ROUND n=1.
+  ASSERT_EQ(Dispatch(server, "OPEN").rfind("OK id=0 ", 0), 0u);
+  EXPECT_EQ(Dispatch(server, "STEP id=0").rfind("OK id=0 step=1 ", 0), 0u);
+  EXPECT_EQ(Dispatch(server, "ROUND"), "OK rounds=1 sessions=1");
+  std::string status = Dispatch(server, "STATUS id=0");
+  EXPECT_NE(status.find(" engine=sim workload=Sysbench-RW steps=2 "),
+            std::string::npos)
+      << status;
+  EXPECT_EQ(Dispatch(server, "STEP id=x"),
+            "ERR INVALID_ARGUMENT argument id=x is not an integer");
+  EXPECT_EQ(Dispatch(server, "STEP id=0 n=1.5"),
+            "ERR INVALID_ARGUMENT argument n=1.5 is not an integer");
+  EXPECT_EQ(
+      Dispatch(server, "OPEN stress_s=abc"),
+      "ERR INVALID_ARGUMENT argument stress_s=abc is not a finite number");
+  ASSERT_EQ(
+      Dispatch(server, "OPEN stress_s=0.5 safety=-1").rfind("OK id=1 ", 0),
+      0u);
+  ASSERT_EQ(Dispatch(server, "OPEN safety=1").rfind("OK id=2 ", 0), 0u);
+  EXPECT_EQ(Dispatch(server, "OPEN safety=-2"),
+            "ERR INVALID_ARGUMENT argument safety=-2 is outside [-1, 1]");
+  EXPECT_EQ(Dispatch(server, "ROUND n=0"),
+            "ERR INVALID_ARGUMENT argument n=0 is outside [1, 100]");
+  EXPECT_EQ(Dispatch(server, "ROUND n=101"),
+            "ERR INVALID_ARGUMENT argument n=101 is outside [1, 100]");
+  // n=100 is in range; the round loop stops once every budget is spent.
+  EXPECT_EQ(Dispatch(server, "ROUND n=100"), "OK rounds=100 sessions=0");
+  EXPECT_EQ(Dispatch(server, "TRAIN n=0"), "OK trained=0");
+}
+
+// Each of these reached a server method before the grammar table; the last
+// three held a worker or the training barrier for minutes to months.
+TEST(DispatchTest, GrammarRejectsBeforeAnyServerCall) {
+  TuningServer server;
+  ASSERT_TRUE(server.AdoptModel(SharedTrainedTuner()).ok());
+  const std::pair<const char*, const char*> rejected[] = {
+      {"OPEN engine=sim foo=1", "'foo'"},
+      {"OPEN engine=sim seed=1 seed=2", "'seed'"},
+      {"OPEN engine=sim stress_s=nan", "stress_s=nan"},
+      {"OPEN engine=sim stress_s=inf", "stress_s=inf"},
+      {"CLOSE", "'id'"},
+      {"STEP id=0 n=101", "n=101"},
+      {"TRAIN n=1001", "n=1001"},
+      {"TRAIN n=2147483647", "n=2147483647"},
+      {"TRAIN n=2147483647 n=0", "'n'"},
+      {"ROUND n=20000", "n=20000"},
+      {"ROUND n=9223372036854775807", "n=9223372036854775807"},
+      {"PING now=1", "'now'"},
+  };
+  for (const auto& [line, key] : rejected) {
+    const std::string response = Dispatch(server, line);
+    EXPECT_EQ(response.rfind("ERR INVALID_ARGUMENT ", 0), 0u) << line;
+    EXPECT_NE(response.find(key), std::string::npos)
+        << line << ": " << response;
+  }
+  // No OPEN consumed a session id and no ROUND ran.
+  EXPECT_EQ(Dispatch(server, "OPEN engine=sim").rfind("OK id=0 ", 0), 0u);
+  EXPECT_EQ(server.rounds_completed(), 0u);
+}
+
+// Specs that aborted the process at the next STEP (a stress duration so long
+// that throughput underflows to 0), held a worker for a minute and hundreds
+// of MB (a mini instance scaled past 256 MiB), or silently disabled a drill
+// (a negative severity): SessionSpec::Validate refuses them in Open.
+TEST(DispatchTest, UnsafeSessionSpecsAreRejected) {
+  TuningServer server;
+  ASSERT_TRUE(server.AdoptModel(SharedTrainedTuner()).ok());
+  for (const char* line :
+       {"OPEN engine=sim stress_s=1e300", "OPEN engine=sim stress_s=3601",
+        "OPEN engine=sim stress_s=0", "OPEN engine=sim steps=0",
+        "OPEN engine=sim ram_gb=0", "OPEN engine=sim disk_gb=-1",
+        "OPEN engine=mini rows=2000 disk_gb=3000 stress_s=600000",
+        "OPEN engine=mini rows=900000 disk_gb=60",
+        "OPEN engine=sim degrade=innodb_buffer_pool_size degrade_sev=-5",
+        "OPEN engine=sim degrade=innodb_buffer_pool_size degrade_sev=1"}) {
+    EXPECT_EQ(Dispatch(server, line).rfind("ERR INVALID_ARGUMENT ", 0), 0u)
+        << line;
+  }
+  EXPECT_EQ(Dispatch(server, "STEP id=0").rfind("ERR NOT_FOUND ", 0), 0u);
+  EXPECT_EQ(server.open_sessions(), 0u);
+  // The bounds themselves are accepted.
+  EXPECT_EQ(Dispatch(server, "OPEN engine=sim stress_s=3600 steps=1")
+                .rfind("OK ", 0),
+            0u);
+  EXPECT_EQ(Dispatch(server, "OPEN engine=sim stress_s=-1").rfind("OK ", 0),
+            0u);
+}
+
+// REBUILD actor_hidden=100000000-100000000 used to kill the daemon with an
+// uncaught std::bad_alloc; DdpgOptions::Validate refuses it first.
+TEST(DispatchTest, OversizedAgentShapesAreRejected) {
+  TuningServer server;
+  ASSERT_TRUE(server.AdoptModel(SharedTrainedTuner()).ok());
+  for (const char* line :
+       {"REBUILD actor_hidden=100000000-100000000", "REBUILD actor_hidden=0",
+        "REBUILD actor_hidden=8-8-8-8-8-8-8-8-8", "REBUILD critic_embed=1025",
+        "REBUILD critic_hidden=1025", "REBUILD actor_hidden=-5",
+        "REBUILD train=1001"}) {
+    EXPECT_EQ(Dispatch(server, line).rfind("ERR INVALID_ARGUMENT ", 0), 0u)
+        << line;
+  }
+  std::vector<double> state(
+      SharedTrainedTuner().agent().options().state_dim, 0.0);
+  EXPECT_TRUE(server.Recommend(state).ok());
+  EXPECT_EQ(Dispatch(server, "REBUILD actor_hidden=1024 critic_embed=1 "
+                             "critic_hidden=1024-1")
+                .rfind("OK ", 0),
+            0u);
+}
+
 TEST(ShardedExperiencePoolTest, SnapshotAfterWraparoundIsDeterministic) {
   // Warm-start snapshots (REBUILD) must not depend on how session writers
   // interleaved: only the per-shard retained windows and the (shard,
@@ -726,12 +842,12 @@ TEST(CheckpointTest, CorruptCheckpointLeavesServerUntouched) {
 
 // The server-checkpoint sweep: every chunk of a real checkpoint holding one
 // plain and one guarded sim session, truncated and replaced with garbage in
-// a re-CRC'd container, plus two well-formed server/model_meta chunks the
-// model cannot use (collector statistics of the wrong dimension, a best
-// action of length 3). Each must fail RestoreCheckpoint with a Status rather
-// than abort — then or at a later ROUND — and leave the target without
-// sessions or model; afterwards the same target restores the good
-// checkpoint and steps.
+// a re-CRC'd container, plus well-formed chunks the server cannot use:
+// server/model_meta with collector statistics of the wrong dimension or a
+// best action of length 3, session specs and agent options out of range.
+// Each must fail RestoreCheckpoint with a Status rather than abort — then
+// or at a later ROUND — and leave the target without sessions or model;
+// afterwards the same target restores the good checkpoint and steps.
 TEST(CheckpointTest, TruncatedOrGarbageChunkPayloadsFailCleanly) {
   const std::string good = CheckpointPath("sweep_good");
   const std::string path = CheckpointPath("sweep");
@@ -803,6 +919,43 @@ TEST(CheckpointTest, TruncatedOrGarbageChunkPayloadsFailCleanly) {
                            tests::ReplaceOnce(spec, seed_and_budget.bytes(),
                                               wide_budget.bytes())),
             util::StatusCode::kDataLoss);
+
+  // Specs whose session could not survive a step: a 1e300 s stress
+  // duration (default rows, then the stress field) and no CPU cores (CDB-A's
+  // RAM and disk, then the cores). Either drives the simulated throughput
+  // to 0, and the reward's CHECK used to abort the process.
+  persist::Encoder rows_and_stress, endless_stress, shape, coreless;
+  rows_and_stress.WriteU64(20000);
+  rows_and_stress.WriteDouble(-1.0);
+  endless_stress.WriteU64(20000);
+  endless_stress.WriteDouble(1e300);
+  for (persist::Encoder* enc : {&shape, &coreless}) {
+    enc->WriteDouble(8.0);
+    enc->WriteDouble(100.0);
+  }
+  shape.WriteI64(12);
+  coreless.WriteI64(0);
+  EXPECT_EQ(restore_mutant("session/0/spec",
+                           tests::ReplaceOnce(spec, rows_and_stress.bytes(),
+                                              endless_stress.bytes())),
+            util::StatusCode::kDataLoss);
+  EXPECT_EQ(restore_mutant("session/0/spec",
+                           tests::ReplaceOnce(spec, shape.bytes(),
+                                              coreless.bytes())),
+            util::StatusCode::kDataLoss);
+
+  // Agent options that the agent's constructor cannot survive: a 10^8-wide
+  // actor (std::bad_alloc) and an empty replay (a CHECK).
+  for (const auto& mutate : std::vector<std::function<void(rl::DdpgOptions&)>>{
+           [](rl::DdpgOptions& o) { o.actor_hidden = {100000000, 100000000}; },
+           [](rl::DdpgOptions& o) { o.replay_capacity = 0; }}) {
+    rl::DdpgOptions options = model.agent().options();
+    mutate(options);
+    persist::Encoder encoded;
+    rl::SaveDdpgOptionsBinary(encoded, options);
+    EXPECT_EQ(restore_mutant("agent/options", encoded.bytes()),
+              util::StatusCode::kDataLoss);
+  }
 
   // A CRC-valid env log of one-byte stress records: session 0 took one step
   // (log: baseline stress, deploy, stress), so at most 3 * 1 + 4 ops can be
@@ -915,6 +1068,181 @@ TEST(DispatchTest, CheckpointVerbs) {
   EXPECT_EQ(Dispatch(resumed, "RESTORE path=/nonexistent/ck").rfind("ERR", 0),
             0u);
   RemoveGenerations(path);
+}
+
+// --- Grammar fuzzer ----------------------------------------------------------
+
+/// A standard model with one 8-wide hidden layer per network, so that the
+/// largest TRAIN n and REBUILD train the grammar allows cost milliseconds.
+tuner::CdbTuner& TinyTrainedTuner() {
+  static tuner::CdbTuner& model = []() -> tuner::CdbTuner& {
+    tuner::CdbTuneOptions options;
+    options.max_offline_steps = 12;
+    options.steps_per_episode = 6;
+    options.seed = 73;
+    options.ddpg.actor_hidden = {8};
+    options.ddpg.critic_embed = 8;
+    options.ddpg.critic_hidden = {8};
+    options.ddpg.batch_size = 4;
+    return TrainStandardModel(options);
+  }();
+  return model;
+}
+
+template <typename T>
+const T& Pick(const std::vector<T>& items, util::Rng& rng) {
+  return items[static_cast<size_t>(
+      rng.UniformInt(0, static_cast<int64_t>(items.size()) - 1))];
+}
+
+/// Text for one argument: in range, at a bound, one past a bound, not a
+/// number, or not finite. Accepted values stay small (no "mini" engine, at
+/// most 100 steps or 1000 tiny gradient steps), and paths name only
+/// `checkpoint`, so every request finishes in milliseconds.
+std::string DrawValue(const ArgRow& arg, const std::string& checkpoint,
+                      util::Rng& rng) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  switch (arg.type) {
+    case ArgRow::Type::kInt: {
+      std::vector<std::string> values = {
+          std::to_string(arg.lo), std::to_string(arg.hi),
+          std::to_string(std::clamp<int64_t>(rng.UniformInt(0, 3), arg.lo,
+                                             arg.hi)),
+          arg.lo > kMin ? std::to_string(arg.lo - 1)
+                        : "-" + std::string(30, '9'),
+          arg.hi < kMax ? std::to_string(arg.hi + 1) : std::string(30, '9'),
+          "x", "1.5", "0x10", "-"};
+      return Pick(values, rng);
+    }
+    case ArgRow::Type::kDouble:
+      return Pick<std::string>({"0", "0.5", "16", "-1", "3600", "3601",
+                                "1e300", "1e-300", "nan", "inf", "-inf", "x",
+                                "1e", "--1"},
+                               rng);
+    case ArgRow::Type::kString:
+      break;
+  }
+  if (arg.key == "path") return checkpoint;
+  if (arg.key == "engine") return Pick<std::string>({"sim", "nosuch"}, rng);
+  if (arg.key == "workload") {
+    return Pick<std::string>({"sysbench_rw", "tpcc", "nosuch"}, rng);
+  }
+  if (arg.key == "degrade") {
+    return Pick<std::string>({"innodb_buffer_pool_size", "nosuch"}, rng);
+  }
+  return Pick<std::string>({"8", "4-4", "8-", "0", "x", "-8", "1025",
+                            "100000000-100000000", "1-1-1-1-1-1-1-1-1"},
+                           rng);
+}
+
+/// One request drawn from a grammar row: every optional key half the time,
+/// a required one usually, and now and then an unknown or repeated key.
+std::string DrawRequest(const std::string& checkpoint, util::Rng& rng) {
+  const VerbRow& row = Pick(Grammar(), rng);
+  std::vector<std::string> args;
+  for (const ArgRow& arg : row.args) {
+    if (rng.Bernoulli(arg.required ? 0.9 : 0.5)) {
+      args.push_back(std::string(arg.key) + "=" +
+                     DrawValue(arg, checkpoint, rng));
+    }
+  }
+  const double extra = rng.Uniform();
+  if (extra < 0.1) {
+    args.push_back("foo=1");
+  } else if (extra < 0.2 && !row.args.empty()) {
+    const ArgRow& arg = Pick(row.args, rng);
+    args.push_back(std::string(arg.key) + "=" +
+                   DrawValue(arg, checkpoint, rng));
+  }
+  rng.Shuffle(args);
+  std::string line(row.verb);
+  for (const std::string& arg : args) line += " " + arg;
+  return line;
+}
+
+/// A byte-level mutant of `line`: truncated, one byte flipped, a space, '='
+/// or NUL inserted, or its first number widened to 30 digits.
+std::string Mutate(std::string line, util::Rng& rng) {
+  const auto at = [&](size_t extra) {
+    return static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(line.size() + extra) - 1));
+  };
+  switch (rng.UniformInt(0, 5)) {
+    case 0:
+      return line.substr(0, at(1));
+    case 1:
+      line[at(0)] ^= static_cast<char>(rng.UniformInt(1, 255));
+      return line;
+    case 2:
+      return line.insert(at(1), 1, ' ');
+    case 3:
+      return line.insert(at(1), 1, '=');
+    case 4:
+      return line.insert(at(1), 1, '\0');
+    default: {
+      const size_t digit = line.find_first_of("0123456789");
+      if (digit == std::string::npos) {
+        return line + " n=" + std::string(30, '7');
+      }
+      return line.replace(digit, line.find_first_not_of("0123456789", digit) -
+                                     digit, std::string(30, '7'));
+    }
+  }
+}
+
+// Seeded grammar fuzzer: requests drawn from the grammar table plus byte
+// mutants of valid lines, against a live server holding one sim session.
+// Every response must be OK or ERR, and afterwards the server must still
+// answer PING and a parseable STATUS for every session it lists.
+TEST(DispatchFuzzTest, GeneratedAndMutatedRequestsGetOkOrErr) {
+  const std::string checkpoint = CheckpointPath("fuzz");
+  RemoveGenerations(checkpoint);
+  TuningServerOptions options;
+  options.max_sessions = 4;
+  TuningServer server(options);
+  ASSERT_TRUE(server.AdoptModel(TinyTrainedTuner()).ok());
+  Dispatcher dispatcher(&server);
+  ASSERT_EQ(dispatcher.Dispatch("OPEN engine=sim seed=9 steps=1000000")
+                .response.rfind("OK id=0 ", 0),
+            0u);
+
+  const std::vector<std::string> valid = {
+      "OPEN engine=sim workload=tpcc seed=3 steps=4 safety=1",
+      "STEP id=0 n=2",
+      "ROUND n=2",
+      "TRAIN n=2",
+      "STATUS id=0",
+      "STATUS",
+      "BEST_CONFIG id=0",
+      "CLOSE id=1",
+      "REBUILD actor_hidden=8 critic_embed=4 train=2",
+      "PING"};
+  util::Rng rng(2024);
+  constexpr int kGenerated = 600;
+  constexpr int kMutants = 400;
+  for (int i = 0; i < kGenerated + kMutants; ++i) {
+    const std::string line = i < kGenerated ? DrawRequest(checkpoint, rng)
+                                            : Mutate(Pick(valid, rng), rng);
+    const std::string response = dispatcher.Dispatch(line).response;
+    EXPECT_TRUE(response.rfind("OK ", 0) == 0 || response.rfind("ERR ", 0) == 0)
+        << "request '" << line << "' got '" << response << "'";
+  }
+
+  EXPECT_EQ(dispatcher.Dispatch("PING").response, "OK pong=1");
+  auto summary = ParseCommand(dispatcher.Dispatch("STATUS").response);
+  ASSERT_TRUE(summary.ok());
+  ASSERT_EQ(summary->verb, "OK");
+  for (const auto& [key, value] : summary->args) {
+    if (key[0] != 's' || key == "sessions") continue;
+    const std::string id = key.substr(1);
+    const std::string status = dispatcher.Dispatch("STATUS id=" + id).response;
+    auto parsed = ParseCommand(status);
+    ASSERT_TRUE(parsed.ok()) << status;
+    EXPECT_EQ(parsed->verb, "OK") << status;
+    EXPECT_EQ(parsed->args["id"], id) << status;
+  }
+  RemoveGenerations(checkpoint);
 }
 
 // --- Lock-free readers ------------------------------------------------------

@@ -7,9 +7,12 @@
 # guardrail (DESIGN.md §12): a guarded session with an injected regression
 # is killed -9 right after its rollback fired, and the restore must land
 # the tenant back on its last-known-good config with identical guardrail
-# telemetry. The daemon listens on an ephemeral loopback TCP port; every
-# start reads the bound port from the daemon's "listening on tcp" line.
-# A malformed flag value must be rejected with exit status 2. Usage:
+# telemetry. A third phase sends hostile requests (an endless stress test,
+# a 10^8-wide agent, a repeated key, an over-cap ROUND) to a fresh daemon,
+# which must refuse each with ERR and still answer PING. The daemon listens
+# on an ephemeral loopback TCP port; every start reads the bound port from
+# the daemon's "listening on tcp" line. A malformed flag value must be
+# rejected with exit status 2. Usage:
 #
 #   tools/crash_recovery_smoke.sh [path/to/cdbtune_serve]
 #
@@ -196,5 +199,27 @@ send SHUTDOWN > /dev/null
 wait "$DAEMON_PID" 2> /dev/null || true
 DAEMON_PID=""
 
+echo "== phase 3: hostile requests are refused and the daemon keeps serving"
+# Its own daemon: a refused OPEN still consumes a session id, which would
+# shift the id=0/id=1 checks above.
+start_daemon
+for request in 'OPEN engine=sim stress_s=1e300' 'STEP id=0' \
+               'REBUILD actor_hidden=100000000-100000000' \
+               'OPEN engine=sim seed=1 seed=2' 'ROUND n=101'; do
+  # No session was opened, so the STEP is refused for its own reason.
+  want="ERR INVALID_ARGUMENT"
+  [[ "$request" == STEP* ]] && want="ERR"
+  REPLY_LINE="$(send "$request")" || fail_with_log "no reply to '$request'"
+  echo "   $request -> $REPLY_LINE"
+  [[ "$REPLY_LINE" == "$want "* ]] ||
+    fail_with_log "'$request' got '$REPLY_LINE', want '$want ...'"
+done
+PONG="$(send PING)" || fail_with_log "no reply to PING after hostile requests"
+[[ "$PONG" == "OK pong=1" ]] || fail_with_log "PING got '$PONG'"
+send SHUTDOWN > /dev/null
+wait "$DAEMON_PID" 2> /dev/null || true
+DAEMON_PID=""
+
 echo "PASS: kill -9 + --restore resumed the exact pre-kill trajectory," \
-     "guardrail state and last-known-good config included"
+     "guardrail state and last-known-good config included; hostile" \
+     "requests were refused without taking the daemon down"
