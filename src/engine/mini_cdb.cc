@@ -199,6 +199,30 @@ void MiniCdb::Reset() {
   if (!Restart().ok()) btree_.reset();
 }
 
+void MiniCdb::SaveBinary(persist::Encoder& enc) const {
+  env::SaveEngineState(enc, config_, counters_, rng_, crash_count_);
+}
+
+util::Status MiniCdb::RestoreBinary(persist::Decoder& dec) {
+  CDBTUNE_RETURN_IF_ERROR(env::RestoreEngineState(
+      dec, registry_, &config_, &counters_, &rng_, &crash_count_));
+  // The pages, clock and WAL are not saved because no later call can read
+  // them. ApplyConfig and Reset rebuild and bulk-load the engine from the
+  // config alone, and BulkLoad draws no randomness, so after a boot the
+  // engine is a function of (config, options, hardware). Only RunStress
+  // leaves anything else behind, and the tuning session never stresses
+  // twice without a deploy in between: Begin stresses, each Step deploys,
+  // may stress and may deploy a rollback, and Finish deploys. So a saved
+  // instance differs from a freshly booted one only until its next deploy,
+  // which discards the difference. Booting here keeps config_ describing
+  // the running engine; a config that cannot boot leaves the instance
+  // down, as it was when it was saved, and is not counted as a new crash.
+  const int crashes = crash_count_;
+  if (!Restart().ok()) btree_.reset();
+  crash_count_ = crashes;
+  return util::Status::Ok();
+}
+
 util::StatusOr<env::StressResult> MiniCdb::RunStress(
     const workload::WorkloadSpec& spec, double duration_s) {
   if (duration_s <= 0.0) {

@@ -48,6 +48,11 @@ class MiniCdb : public env::DbInterface {
   util::StatusOr<env::StressResult> RunStress(
       const workload::WorkloadSpec& spec, double duration_s) override;
   void Reset() override;
+  /// Saves the config, counters, rng stream and crash count; restoring
+  /// boots the engine on the restored config (see RestoreBinary in
+  /// mini_cdb.cc for why the pages need no saving).
+  void SaveBinary(persist::Encoder& enc) const override;
+  util::Status RestoreBinary(persist::Decoder& dec) override;
 
   /// Simulates an engine crash (all buffered state lost, disk reverted to
   /// the last atomic checkpoint image) followed by recovery (replay of the

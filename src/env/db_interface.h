@@ -4,6 +4,8 @@
 #include "env/instance.h"
 #include "env/metrics.h"
 #include "knobs/registry.h"
+#include "persist/encoding.h"
+#include "util/random.h"
 #include "util/status.h"
 #include "workload/workload.h"
 
@@ -46,7 +48,35 @@ class DbInterface {
   /// Restores the default configuration and clears counters, as after a
   /// fresh instance provisioning.
   virtual void Reset() = 0;
+
+  /// Checkpoint codec (DESIGN.md §9): everything the instance carries from
+  /// one call to the next, so that an instance built with the same
+  /// constructor arguments and then restored answers every later call
+  /// bitwise like the saved one. On error the instance may be partly
+  /// restored and must be discarded. The defaults write nothing and refuse
+  /// every restore, so a decorator that never checkpoints needs no code
+  /// and a checkpoint through one fails loudly when it is restored.
+  virtual void SaveBinary(persist::Encoder& /*enc*/) const {}
+  virtual util::Status RestoreBinary(persist::Decoder& /*dec*/) {
+    return util::Status::Unimplemented("this instance cannot be restored");
+  }
 };
+
+/// The codec of the four fields both engines carry: the live config, the
+/// cumulative counters, the rng stream and the crash count. The restore
+/// writes its outputs only when every value is in range, and returns
+/// DATA_LOSS otherwise: the config must hold one value per knob of
+/// `registry` and be a fixed point of its Sanitize (every config an engine
+/// holds is), there must be one value per internal metric, the rng text
+/// must parse, and the crash count must fit an int.
+void SaveEngineState(persist::Encoder& enc, const knobs::Config& config,
+                     const MetricsSnapshot& counters, const util::Rng& rng,
+                     int crash_count);
+util::Status RestoreEngineState(persist::Decoder& dec,
+                                const knobs::KnobRegistry& registry,
+                                knobs::Config* config,
+                                MetricsSnapshot* counters, util::Rng* rng,
+                                int* crash_count);
 
 }  // namespace cdbtune::env
 

@@ -74,11 +74,6 @@ constexpr const char* kMetricNames[kNumInternalMetrics] = {
 };
 }  // namespace
 
-const char* InternalMetricName(size_t index) {
-  CDBTUNE_CHECK(index < kNumInternalMetrics) << "metric index " << index;
-  return kMetricNames[index];
-}
-
 MetricKind InternalMetricKind(size_t index) {
   CDBTUNE_CHECK(index < kNumInternalMetrics) << "metric index " << index;
   return index < kNumStateMetrics ? MetricKind::kState

@@ -20,9 +20,6 @@ inline constexpr size_t kNumCumulativeMetrics = 49;
 /// averaged over the interval; cumulative values are differenced.
 enum class MetricKind { kState, kCumulative };
 
-/// Stable name of internal metric `index` (MySQL-status flavored).
-const char* InternalMetricName(size_t index);
-
 /// Kind of internal metric `index`: indices [0, 14) are state values,
 /// [14, 63) cumulative counters.
 MetricKind InternalMetricKind(size_t index);

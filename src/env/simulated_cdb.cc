@@ -147,6 +147,18 @@ void SimulatedCdb::Reset() {
   stress_calls_ = 0;
 }
 
+void SimulatedCdb::SaveBinary(persist::Encoder& enc) const {
+  SaveEngineState(enc, config_, counters_, rng_, crash_count_);
+  enc.WriteU64(stress_calls_);
+}
+
+util::Status SimulatedCdb::RestoreBinary(persist::Decoder& dec) {
+  CDBTUNE_RETURN_IF_ERROR(RestoreEngineState(dec, registry_, &config_,
+                                             &counters_, &rng_, &crash_count_));
+  if (!dec.ReadU64(&stress_calls_)) return dec.status();
+  return util::Status::Ok();
+}
+
 void SimulatedCdb::FillStateGauges(const PerfOutcome& perf,
                                    const ModelInputs& in,
                                    const workload::WorkloadSpec& spec) {

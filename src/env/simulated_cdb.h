@@ -44,6 +44,11 @@ class SimulatedCdb : public DbInterface {
   util::StatusOr<StressResult> RunStress(const workload::WorkloadSpec& spec,
                                          double duration_s) override;
   void Reset() override;
+  /// Saves the config, counters, rng stream, crash count and stress-call
+  /// count. The degrade injection is part of the instance's setup
+  /// (SetDegrade), not of its state.
+  void SaveBinary(persist::Encoder& enc) const override;
+  util::Status RestoreBinary(persist::Decoder& dec) override;
 
   /// Noise-free evaluation of an arbitrary configuration — used by the
   /// performance-surface figure and by tests that need exact comparisons.
@@ -62,7 +67,8 @@ class SimulatedCdb : public DbInterface {
   /// default in normalized [0,1] space. Near-default configs (the typical
   /// last-known-good) stay healthy while tuned ones regress — exactly the
   /// shape a rollback must recover from. Deterministic in (call count,
-  /// config), so the checkpoint env-op replay reproduces it bitwise.
+  /// config), both of which the checkpoint codec saves, so a restored
+  /// instance degrades bitwise like the saved one.
   struct DegradeSpec {
     std::string knob;
     uint64_t after_stress_calls = 0;

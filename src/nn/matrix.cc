@@ -215,11 +215,6 @@ Matrix& Matrix::Scale(double factor) {
   return *this;
 }
 
-Matrix& Matrix::AddScalar(double value) {
-  for (double& v : data_) v += value;
-  return *this;
-}
-
 Matrix& Matrix::AddRowBroadcast(const Matrix& row) {
   CDBTUNE_CHECK(row.rows_ == 1 && row.cols_ == cols_)
       << "broadcast row must be 1x" << cols_;

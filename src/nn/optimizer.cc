@@ -33,18 +33,22 @@ util::Status LoadMoments(persist::Decoder& dec, std::vector<Matrix>* moments) {
 
 }  // namespace
 
-void Optimizer::SaveBinary(persist::Encoder& enc) const {
-  enc.WriteDouble(learning_rate_);
+Adam::Adam(std::vector<Parameter*> params, double learning_rate, double beta1,
+           double beta2, double epsilon)
+    : params_(std::move(params)),
+      learning_rate_(learning_rate),
+      beta1_(beta1),
+      beta2_(beta2),
+      epsilon_(epsilon) {
+  m_.reserve(params_.size());
+  v_.reserve(params_.size());
+  for (Parameter* p : params_) {
+    m_.emplace_back(p->value.rows(), p->value.cols());
+    v_.emplace_back(p->value.rows(), p->value.cols());
+  }
 }
 
-util::Status Optimizer::LoadBinary(persist::Decoder& dec) {
-  double lr = 0.0;
-  if (!dec.ReadDouble(&lr)) return dec.status();
-  learning_rate_ = lr;
-  return util::Status::Ok();
-}
-
-void Optimizer::ClipGradNorm(double max_norm) {
+void Adam::ClipGradNorm(double max_norm) {
   CDBTUNE_CHECK(max_norm > 0.0) << "max_norm must be positive";
   double sq = 0.0;
   for (Parameter* p : params_) {
@@ -58,58 +62,8 @@ void Optimizer::ClipGradNorm(double max_norm) {
   for (Parameter* p : params_) p->grad.Scale(scale);
 }
 
-Sgd::Sgd(std::vector<Parameter*> params, double learning_rate, double momentum)
-    : Optimizer(std::move(params)), momentum_(momentum) {
-  learning_rate_ = learning_rate;
-  velocity_.reserve(params_.size());
-  for (Parameter* p : params_) {
-    velocity_.emplace_back(p->value.rows(), p->value.cols());
-  }
-}
-
-void Sgd::Step() {
-  for (size_t i = 0; i < params_.size(); ++i) {
-    double* __restrict__ value = params_[i]->value.data();
-    const double* __restrict__ grad = params_[i]->grad.data();
-    double* __restrict__ vel = velocity_[i].data();
-    const size_t n = params_[i]->value.size();
-    for (size_t j = 0; j < n; ++j) {
-      const double v = momentum_ * vel[j] - learning_rate_ * grad[j];
-      vel[j] = v;
-      value[j] += v;
-    }
-  }
-}
-
-void Sgd::SaveBinary(persist::Encoder& enc) const {
-  Optimizer::SaveBinary(enc);
-  enc.WriteDouble(momentum_);
-  SaveMoments(enc, velocity_);
-}
-
-util::Status Sgd::LoadBinary(persist::Decoder& dec) {
-  CDBTUNE_RETURN_IF_ERROR(Optimizer::LoadBinary(dec));
-  if (!dec.ReadDouble(&momentum_)) return dec.status();
-  return LoadMoments(dec, &velocity_);
-}
-
-Adam::Adam(std::vector<Parameter*> params, double learning_rate, double beta1,
-           double beta2, double epsilon)
-    : Optimizer(std::move(params)),
-      beta1_(beta1),
-      beta2_(beta2),
-      epsilon_(epsilon) {
-  learning_rate_ = learning_rate;
-  m_.reserve(params_.size());
-  v_.reserve(params_.size());
-  for (Parameter* p : params_) {
-    m_.emplace_back(p->value.rows(), p->value.cols());
-    v_.emplace_back(p->value.rows(), p->value.cols());
-  }
-}
-
 void Adam::SaveBinary(persist::Encoder& enc) const {
-  Optimizer::SaveBinary(enc);
+  enc.WriteDouble(learning_rate_);
   enc.WriteDouble(beta1_);
   enc.WriteDouble(beta2_);
   enc.WriteDouble(epsilon_);
@@ -119,10 +73,10 @@ void Adam::SaveBinary(persist::Encoder& enc) const {
 }
 
 util::Status Adam::LoadBinary(persist::Decoder& dec) {
-  CDBTUNE_RETURN_IF_ERROR(Optimizer::LoadBinary(dec));
   int64_t step = 0;
-  if (!dec.ReadDouble(&beta1_) || !dec.ReadDouble(&beta2_) ||
-      !dec.ReadDouble(&epsilon_) || !dec.ReadI64(&step)) {
+  if (!dec.ReadDouble(&learning_rate_) || !dec.ReadDouble(&beta1_) ||
+      !dec.ReadDouble(&beta2_) || !dec.ReadDouble(&epsilon_) ||
+      !dec.ReadI64(&step)) {
     return dec.status();
   }
   step_ = static_cast<long>(step);

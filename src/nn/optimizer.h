@@ -9,69 +9,33 @@
 
 namespace cdbtune::nn {
 
-/// Gradient-descent optimizer over a fixed list of parameters. The list is
-/// bound at construction (typically `network.Params()`); parameters must
-/// outlive the optimizer.
-class Optimizer {
+/// Adam (Kingma & Ba) with bias correction over a fixed list of parameters.
+/// The list is bound at construction (typically `network.Params()`);
+/// parameters must outlive the optimizer.
+class Adam {
  public:
-  explicit Optimizer(std::vector<Parameter*> params)
-      : params_(std::move(params)) {}
-  virtual ~Optimizer() = default;
+  Adam(std::vector<Parameter*> params, double learning_rate,
+       double beta1 = 0.9, double beta2 = 0.999, double epsilon = 1e-8);
 
   /// Applies one update using the gradients currently accumulated in each
   /// parameter, then leaves gradients untouched (call ZeroGrad separately).
-  virtual void Step() = 0;
+  void Step();
 
   /// Clips the global gradient norm to `max_norm` before Step(); guards the
   /// critic against reward spikes (e.g., the large negative crash reward in
   /// Section 5.2.3).
   void ClipGradNorm(double max_norm);
 
-  /// Bit-exact serialization of optimizer state (learning rate plus each
-  /// subclass's per-parameter moments) for the checkpoint subsystem. A
-  /// resumed Adam must continue its bias-correction schedule exactly, or
-  /// load-then-train diverges from never-saved.
-  virtual void SaveBinary(persist::Encoder& enc) const;
-  virtual util::Status LoadBinary(persist::Decoder& dec);
+  /// Bit-exact serialization of the optimizer state (learning rate, betas,
+  /// epsilon, step count and per-parameter moments) for the checkpoint
+  /// subsystem. A resumed Adam must continue its bias-correction schedule
+  /// exactly, or load-then-train diverges from never-saved.
+  void SaveBinary(persist::Encoder& enc) const;
+  util::Status LoadBinary(persist::Decoder& dec);
 
-  void set_learning_rate(double lr) { learning_rate_ = lr; }
-  double learning_rate() const { return learning_rate_; }
-
- protected:
+ private:
   std::vector<Parameter*> params_;
-  double learning_rate_ = 1e-3;  // Paper Table 4: alpha = 0.001.
-};
-
-/// Plain SGD with optional classical momentum.
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<Parameter*> params, double learning_rate,
-      double momentum = 0.0);
-
-  void Step() override;
-
-  void SaveBinary(persist::Encoder& enc) const override;
-  util::Status LoadBinary(persist::Decoder& dec) override;
-
- private:
-  double momentum_;
-  std::vector<Matrix> velocity_;
-};
-
-/// Adam (Kingma & Ba) with bias correction.
-class Adam : public Optimizer {
- public:
-  Adam(std::vector<Parameter*> params, double learning_rate,
-       double beta1 = 0.9, double beta2 = 0.999, double epsilon = 1e-8);
-
-  void Step() override;
-
-  void SaveBinary(persist::Encoder& enc) const override;
-  util::Status LoadBinary(persist::Decoder& dec) override;
-
-  long step_count() const { return step_; }
-
- private:
+  double learning_rate_;  // Paper Table 4: alpha = 0.001.
   double beta1_;
   double beta2_;
   double epsilon_;

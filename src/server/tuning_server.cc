@@ -1,5 +1,6 @@
 #include "server/tuning_server.h"
 
+#include <climits>
 #include <cmath>
 #include <functional>
 #include <initializer_list>
@@ -217,11 +218,10 @@ util::Status SessionSpec::Validate() const {
 /// Slot's busy flag / round exclusivity enforce that under mu_), so none of
 /// these members need a lock of their own.
 struct TuningServer::Session {
-  Session(TuningServer* server, int id_in, SessionSpec spec_in, size_t shard_in,
+  Session(TuningServer* server, SessionSpec spec_in, size_t shard_in,
           std::unique_ptr<env::DbInterface> db_in,
           tuner::MetricsCollector collector_in, const rl::DdpgOptions& model)
-      : id(id_in),
-        spec(std::move(spec_in)),
+      : spec(std::move(spec_in)),
         shard(shard_in),
         db(std::move(db_in)),
         collector(std::move(collector_in)),
@@ -230,7 +230,8 @@ struct TuningServer::Session {
         policy(server, &noise),
         sink(&server->shards_, shard) {}
 
-  const int id;
+  /// Assigned when the session registers; never changes afterwards.
+  int id = -1;
   const SessionSpec spec;
   const size_t shard;
   std::unique_ptr<env::DbInterface> db;
@@ -341,25 +342,18 @@ void TuningServer::RefreshStatus(Slot* slot) {
 }
 
 util::StatusOr<std::unique_ptr<TuningServer::Session>>
-TuningServer::ProvisionSession(int id, const SessionSpec& spec, size_t shard,
+TuningServer::ProvisionSession(const SessionSpec& spec, size_t shard,
                                tuner::MetricsCollector collector,
-                               const rl::DdpgOptions& model,
-                               util::StatusCode invalid) {
-  util::Status valid = spec.Validate();
-  if (!valid.ok()) {
-    return util::Status(invalid, "session " + std::to_string(id) + ": " +
-                                     valid.message());
-  }
+                               const rl::DdpgOptions& model) {
+  CDBTUNE_RETURN_IF_ERROR(spec.Validate());
   auto db = MakeDb(spec);
   CDBTUNE_RETURN_IF_ERROR(db.status());
   knobs::KnobSpace space = knobs::KnobSpace::AllTunable(&(*db)->registry());
   if (space.action_dim() != model.action_dim) {
-    return util::Status(invalid, "session " + std::to_string(id) +
-                                     ": engine knob space does not match "
-                                     "the model's action space");
+    return util::Status::InvalidArgument(
+        "engine knob space does not match the model's action space");
   }
-  auto session = std::make_unique<Session>(this, id, spec, shard,
-                                           std::move(*db),
+  auto session = std::make_unique<Session>(this, spec, shard, std::move(*db),
                                            std::move(collector), model);
   session->tuning = std::make_unique<tuner::TuningSession>(
       session->db.get(), std::move(space), session->spec.workload,
@@ -381,7 +375,6 @@ util::StatusOr<int> TuningServer::Open(const SessionSpec& spec) {
     collector = collector_template_;
   }
 
-  int id;
   size_t shard;
   {
     util::MutexLock lock(mu_);
@@ -395,7 +388,6 @@ util::StatusOr<int> TuningServer::Open(const SessionSpec& spec) {
     }
     shard = free_shards_.back();
     free_shards_.pop_back();
-    id = next_id_++;
   }
   // Instance provisioning and the baseline stress test run outside every
   // lock — a mini-engine bulk load or a 150 s baseline must not stall the
@@ -406,8 +398,7 @@ util::StatusOr<int> TuningServer::Open(const SessionSpec& spec) {
   };
 
   auto provisioned =
-      ProvisionSession(id, spec, shard, std::move(collector), model,
-                       util::StatusCode::kInvalidArgument);
+      ProvisionSession(spec, shard, std::move(collector), model);
   if (!provisioned.ok()) {
     release_shard();
     return provisioned.status();
@@ -420,18 +411,24 @@ util::StatusOr<int> TuningServer::Open(const SessionSpec& spec) {
     return begun;
   }
 
+  // The id is taken only now, so a refused OPEN consumes none; ids are
+  // never reused, and every live id stays below next_id_.
   util::MutexLock lock(mu_);
-  if (draining_) {
+  if (draining_ || next_id_ == INT_MAX) {
     free_shards_.push_back(shard);
-    return util::Status::FailedPrecondition("server is draining");
+    return util::Status::FailedPrecondition(
+        draining_ ? "server is draining" : "session ids are exhausted");
   }
+  const int id = next_id_++;
+  session->id = id;
   Slot slot;
   slot.session = std::move(session);
   // Snapshot under mu_ like every other refresh — RefreshStatus's contract
   // is REQUIRES(mu_), and taking it here (previously the snapshot ran
   // unlocked) costs nothing since registration takes the lock anyway.
   RefreshStatus(&slot);
-  sessions_.emplace(id, std::move(slot));
+  CDBTUNE_CHECK(sessions_.emplace(id, std::move(slot)).second)
+      << "session id " << id << " is taken";
   return id;
 }
 
@@ -826,9 +823,21 @@ util::StatusOr<RestoreReport> TuningServer::RestoreCheckpoint(
                 " sessions, server capacity is " +
                 std::to_string(options_.max_sessions));
           }
+          // Ids are never reused: next_id fits an int, and every session
+          // id lies below it, so the next OPEN cannot collide.
+          if (next_id < 0 || next_id > INT_MAX) {
+            return util::Status::DataLoss("checkpoint next session id " +
+                                          std::to_string(next_id) +
+                                          " is out of range");
+          }
           for (uint64_t i = 0; i < count; ++i) {
             int64_t id = 0;
             if (!dec.ReadI64(&id)) return dec.status();
+            if (id < 0 || id >= next_id) {
+              return util::Status::DataLoss(
+                  "checkpoint session id " + std::to_string(id) +
+                  " is outside [0, " + std::to_string(next_id) + ")");
+            }
             ids.push_back(static_cast<int>(id));
           }
           return util::Status::Ok();
@@ -852,12 +861,15 @@ util::StatusOr<RestoreReport> TuningServer::RestoreCheckpoint(
       }
       shard_used[shard] = true;
 
-      auto provisioned = ProvisionSession(id, spec, shard,
+      auto provisioned = ProvisionSession(spec, shard,
                                           tuner::MetricsCollector(),
-                                          agent_options,
-                                          util::StatusCode::kDataLoss);
-      CDBTUNE_RETURN_IF_ERROR(provisioned.status());
+                                          agent_options);
+      if (!provisioned.ok()) {
+        return util::Status::DataLoss("session " + std::to_string(id) + ": " +
+                                      provisioned.status().message());
+      }
       std::unique_ptr<Session> session = std::move(provisioned).value();
+      session->id = id;
       CDBTUNE_RETURN_IF_ERROR(
           file.Decode(base + "state", [&](persist::Decoder& dec) {
             CDBTUNE_RETURN_IF_ERROR(session->noise.LoadBinary(dec));

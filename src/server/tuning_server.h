@@ -182,8 +182,9 @@ class TuningServer {
   util::Status AdoptModel(tuner::CdbTuner& trained);
 
   /// Opens a session: provisions the instance, runs the baseline stress
-  /// test, and returns the session id. Fails when the server is at
-  /// capacity, draining, or has no model.
+  /// test, and returns the session id. Ids count up from 0 and only a
+  /// session that registers takes one. Fails when the server is at
+  /// capacity, draining, out of ids (INT_MAX were taken), or has no model.
   util::StatusOr<int> Open(const SessionSpec& spec);
 
   /// Advances one session by one tuning step.
@@ -221,7 +222,7 @@ class TuningServer {
 
   /// Writes the server's complete tuning state — shared agent, experience
   /// pool, normalization statistics, best offline action, and every open
-  /// session (spec, progress, exploration stream, environment history) — as
+  /// session (spec, progress, exploration stream, environment state) — as
   /// one chunked checkpoint at `path`, atomically, rotating
   /// CheckpointStore's default generations. Runs at a round barrier: it
   /// waits for in-flight steps, exactly like Train.
@@ -229,13 +230,14 @@ class TuningServer {
 
   /// Rebuilds the server from a checkpoint written by SaveCheckpoint:
   /// fresh agent (constructed from the checkpoint's recorded options), pool,
-  /// statistics, and re-provisioned sessions whose environments are replayed
-  /// call-by-call to their saved state. Agent options and session specs are
-  /// validated before anything is built from them (DATA_LOSS when they are
-  /// out of range). Falls back generation-by-generation
-  /// past torn or corrupt files. Requires a server with no open sessions and
-  /// matching pool shape; on any failure the server is left untouched
-  /// (everything is staged and validated before the swap).
+  /// statistics, and re-provisioned sessions whose environments restore
+  /// their saved state through DbInterface::RestoreBinary. Agent options,
+  /// session specs and session ids are validated before anything is built
+  /// from them (DATA_LOSS when they are out of range). Falls back
+  /// generation-by-generation past torn or corrupt files. Requires a server
+  /// with no open sessions and matching pool shape; on any failure the
+  /// server is left untouched (everything is staged and validated before
+  /// the swap).
   util::StatusOr<RestoreReport> RestoreCheckpoint(const std::string& path);
 
   /// Warm-starts a *differently shaped* agent from the server's accumulated
@@ -311,13 +313,12 @@ class TuningServer {
 
   /// The one session builder behind Open and RestoreCheckpoint: validates
   /// `spec`, provisions the instance, requires its knob space to match
-  /// `model`'s action space (either failure is an `invalid`-coded error),
-  /// and wires the exploration stream (the model's OU parameters) and the
-  /// TuningSession.
+  /// `model`'s action space (either failure is INVALID_ARGUMENT), and wires
+  /// the exploration stream (the model's OU parameters) and the
+  /// TuningSession. The caller assigns the session's id.
   util::StatusOr<std::unique_ptr<Session>> ProvisionSession(
-      int id, const SessionSpec& spec, size_t shard,
-      tuner::MetricsCollector collector, const rl::DdpgOptions& model,
-      util::StatusCode invalid);
+      const SessionSpec& spec, size_t shard, tuner::MetricsCollector collector,
+      const rl::DdpgOptions& model);
 
   /// Refreshes `slot`'s status snapshot from its TuningSession. The slot's
   /// session must not be mid-step on another thread.

@@ -60,17 +60,7 @@ double TuningSession::Score(const PerfPoint& point) const {
              (result_.initial.latency / std::max(1e-9, point.latency));
 }
 
-void TuningSession::LogDeploy(const knobs::Config& config) {
-  EnvOp op;
-  op.is_deploy = true;
-  op.config = config;
-  env_log_.push_back(std::move(op));
-}
-
-void TuningSession::LogStress() { env_log_.emplace_back(); }
-
 bool TuningSession::Stress(env::StressResult* out) {
-  LogStress();
   auto outcome = db_->RunStress(workload_, options_.stress_duration_s);
   if (!outcome.ok()) {
     CDBTUNE_LOG(Warning) << "session stress test failed: "
@@ -111,7 +101,6 @@ util::Status TuningSession::Begin() {
 
 void TuningSession::RollbackToLastKnownGood() {
   const knobs::Config lkg = guard_->lkg_config();
-  LogDeploy(lkg);
   util::Status deploy = recommender_.Deploy(*db_, lkg);
   if (!deploy.ok()) {
     // The last-known-good config was healthy when it earned that title;
@@ -137,7 +126,6 @@ util::StatusOr<StepRecord> TuningSession::Step() {
       << "policy action dimension mismatch";
 
   knobs::Config config = recommender_.BuildConfig(action, base_config_);
-  LogDeploy(config);
   util::Status deploy = recommender_.Deploy(*db_, config);
 
   StepRecord record;
@@ -272,11 +260,7 @@ void TuningSession::SaveBinary(persist::Encoder& enc) const {
     enc.WriteBool(r.rewarmed);
   }
 
-  enc.WriteU64(env_log_.size());
-  for (const EnvOp& op : env_log_) {
-    enc.WriteBool(op.is_deploy);
-    if (op.is_deploy) enc.WriteDoubleVec(op.config);
-  }
+  db_->SaveBinary(enc);
 
   enc.WriteBool(guard_ != nullptr);
   if (guard_) guard_->SaveBinary(enc);
@@ -347,24 +331,7 @@ util::Status TuningSession::RestoreBinary(persist::Decoder& dec) {
     r.step = static_cast<int>(step);
   }
 
-  // Every env op replays a deploy or a stress test, so the log is bounded
-  // by what a session can issue, not just by the chunk's size: Begin's
-  // baseline stress, at most three ops per step (deploy, stress, rollback
-  // deploy), and a failed final step's deploy + stress plus Finish's deploy.
-  uint64_t log_size = 0;
-  if (!dec.ReadU64(&log_size)) return dec.status();
-  const uint64_t max_log = 3 * static_cast<uint64_t>(steps) + 4;
-  if (log_size > max_log || log_size > dec.remaining()) {
-    return util::Status::DataLoss("session env log has " +
-                                  std::to_string(log_size) +
-                                  " ops; its step count allows at most " +
-                                  std::to_string(max_log));
-  }
-  std::vector<EnvOp> log(log_size);
-  for (EnvOp& op : log) {
-    if (!dec.ReadBool(&op.is_deploy)) return dec.status();
-    if (op.is_deploy && !dec.ReadDoubleVec(&op.config)) return dec.status();
-  }
+  CDBTUNE_RETURN_IF_ERROR(db_->RestoreBinary(dec));
 
   bool has_guard = false;
   if (!dec.ReadBool(&has_guard)) return dec.status();
@@ -377,26 +344,11 @@ util::Status TuningSession::RestoreBinary(persist::Decoder& dec) {
     if (!guard_status.ok()) return guard_status;
   }
 
-  // Replay the environment call sequence against the fresh db. The outcomes
-  // are discarded — the session's own view of them is already in the decoded
-  // fields — but the calls advance the env's internal state (workload rng,
-  // engine contents) to exactly where it was at checkpoint time.
-  for (const EnvOp& op : log) {
-    if (op.is_deploy) {
-      util::Status deploy = recommender_.Deploy(*db_, op.config);
-      (void)deploy;
-    } else {
-      auto outcome = db_->RunStress(workload_, options_.stress_duration_s);
-      (void)outcome;
-    }
-  }
-
   phase_ = static_cast<SessionPhase>(phase);
   base_config_ = std::move(base_config);
   state_ = std::move(state);
   prev_perf_ = prev_perf;
   result_ = std::move(result);
-  env_log_ = std::move(log);
   if (phase_ != SessionPhase::kCreated && phase_ != SessionPhase::kFailed) {
     reward_.SetInitial(result_.initial);
   }
@@ -411,7 +363,6 @@ util::Status TuningSession::Finish() {
   }
   // Deploy the knobs "corresponding to the best performance in online
   // tuning" (Section 2.1.2).
-  LogDeploy(result_.best_config);
   util::Status final_deploy = recommender_.Deploy(*db_, result_.best_config);
   if (!final_deploy.ok()) {
     CDBTUNE_LOG(Warning) << "re-deploying best config failed: "

@@ -123,32 +123,20 @@ class TuningSession {
   double Score(const PerfPoint& point) const;
 
   /// Checkpoint round-trip (DESIGN.md §9). SaveBinary records the session's
-  /// own scalar state (phase, baseline, RL state vector, result/history)
-  /// plus the *environment operation log*: every Deploy/RunStress the
-  /// session ever issued, in order. The environments are deterministic
-  /// functions of (spec, call sequence), so RestoreBinary replays that log
-  /// against a freshly provisioned database to reproduce the env's internal
-  /// state — rng position, counters, the mini engine's B-tree — bitwise,
-  /// without serializing any engine internals. RestoreBinary must be called
-  /// on a kCreated session built over a fresh db with the same spec and
-  /// options as the saved one; on any mismatch or decode error it returns
-  /// non-OK and the session must be discarded (it may be partially updated).
+  /// own state (options, phase, baseline, RL state vector, result/history),
+  /// the database's state through its own codec (DbInterface::SaveBinary)
+  /// and the guardrail's. RestoreBinary must be called on a kCreated
+  /// session built over a db constructed like the saved one's, with the
+  /// same options; on any mismatch or decode error it returns non-OK and
+  /// the session must be discarded (it may be partially updated).
   void SaveBinary(persist::Encoder& enc) const;
   util::Status RestoreBinary(persist::Decoder& dec);
 
  private:
   bool Stress(env::StressResult* out);
   /// Deploys the guardrail's last-known-good config after a kRollback
-  /// verdict (logged in the env-op replay stream like any deploy).
+  /// verdict.
   void RollbackToLastKnownGood();
-
-  /// One replayable environment call: a config deployment or a stress run.
-  struct EnvOp {
-    bool is_deploy = false;
-    knobs::Config config;  // Only for deploys.
-  };
-  void LogDeploy(const knobs::Config& config);
-  void LogStress();
 
   env::DbInterface* db_;  // Not owned.
   knobs::KnobSpace space_;
@@ -169,7 +157,6 @@ class TuningSession {
   std::vector<double> state_;
   PerfPoint prev_perf_;
   OnlineTuneResult result_;
-  std::vector<EnvOp> env_log_;
 };
 
 }  // namespace cdbtune::tuner

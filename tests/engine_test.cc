@@ -1,5 +1,7 @@
+#include <cmath>
 #include <cstring>
 #include <set>
+#include <string>
 
 #include "gtest/gtest.h"
 #include "engine/btree.h"
@@ -595,6 +597,116 @@ TEST(MiniCdbTest, RedoThatStarvesTheTableCrashesAndRecovers) {
   auto r = db.RunStress(workload::Tpcc(), 60.0);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_GT(r.value().external.throughput_tps, 0.0);
+}
+
+// --- MiniCdb checkpoint codec --------------------------------------------------
+
+std::string SavedState(const MiniCdb& db) {
+  persist::Encoder enc;
+  db.SaveBinary(enc);
+  return enc.Release();
+}
+
+util::Status Restore(MiniCdb& db, const std::string& bytes) {
+  persist::Decoder dec(bytes);
+  CDBTUNE_RETURN_IF_ERROR(db.RestoreBinary(dec));
+  return dec.Finish();
+}
+
+void ExpectSameStress(MiniCdb& a, MiniCdb& b, const workload::WorkloadSpec& w) {
+  auto ra = a.RunStress(w, 10.0);
+  auto rb = b.RunStress(w, 10.0);
+  ASSERT_TRUE(ra.ok() && rb.ok());
+  EXPECT_EQ(ra->before, rb->before);
+  EXPECT_EQ(ra->after, rb->after);
+  EXPECT_EQ(ra->external.throughput_tps, rb->external.throughput_tps);
+  EXPECT_EQ(ra->external.latency_p99_ms, rb->external.latency_p99_ms);
+}
+
+// The engine restores by booting its saved config. Saved right after a
+// boot (here the crash recovery's), the next stress matches at once; saved
+// after a stress, it matches from the next deploy on, which is the only
+// call a tuning session makes after a stress.
+TEST(MiniCdbTest, RestoredEngineStressesBitwiseLikeTheSaved) {
+  MiniCdbOptions options;
+  options.table_rows = 2000;
+  options.seed = 5;
+  const env::HardwareSpec hardware = env::MakeInstance("mini", 8, 300);
+  const auto w = workload::Tpcc();
+  MiniCdb saved(hardware, options);
+  auto& reg = saved.registry();
+  knobs::Config tuned = reg.DefaultConfig();
+  tuned[*reg.FindIndex("innodb_buffer_pool_size")] = 1.0 * kGiB;
+  tuned[*reg.FindIndex("innodb_flush_log_at_trx_commit")] = 2;
+  knobs::Config oom = tuned;
+  oom[*reg.FindIndex("innodb_buffer_pool_size")] = 64.0 * kGiB;
+  ASSERT_TRUE(saved.ApplyConfig(tuned).ok());
+  ASSERT_TRUE(saved.RunStress(w, 10.0).ok());
+  EXPECT_EQ(saved.ApplyConfig(oom).code(), util::StatusCode::kCrashed);
+
+  MiniCdb booted(hardware, options);
+  ASSERT_TRUE(Restore(booted, SavedState(saved)).ok());
+  EXPECT_EQ(booted.current_config(), tuned);
+  EXPECT_EQ(booted.crash_count(), 1);
+  ExpectSameStress(saved, booted, w);
+
+  MiniCdb stressed(hardware, options);
+  ASSERT_TRUE(Restore(stressed, SavedState(saved)).ok());
+  ASSERT_TRUE(saved.ApplyConfig(reg.DefaultConfig()).ok());
+  ASSERT_TRUE(stressed.ApplyConfig(reg.DefaultConfig()).ok());
+  ExpectSameStress(saved, stressed, w);
+  EXPECT_EQ(SavedState(saved), SavedState(stressed));
+}
+
+// An engine that cannot boot its config (a disk too small for the table)
+// restores down, as it was saved, without counting a new crash.
+TEST(MiniCdbTest, UnbootableEngineRestoresDown) {
+  MiniCdbOptions options;
+  options.table_rows = 2000;
+  const env::HardwareSpec tiny = env::MakeInstance("tiny", 8, 5);
+  MiniCdb saved(tiny, options);
+  ASSERT_FALSE(saved.RunStress(workload::Tpcc(), 10.0).ok());
+  MiniCdb restored(tiny, options);
+  ASSERT_TRUE(Restore(restored, SavedState(saved)).ok());
+  EXPECT_EQ(restored.crash_count(), saved.crash_count());
+  EXPECT_EQ(restored.RunStress(workload::Tpcc(), 10.0).status().code(),
+            util::StatusCode::kFailedPrecondition);
+}
+
+// The codec checks every value before it touches the engine: each mutant
+// is DATA_LOSS and leaves the engine as it was.
+TEST(MiniCdbTest, RestoreRejectsOutOfRangeStateAsDataLoss) {
+  MiniCdbOptions options;
+  options.table_rows = 2000;
+  MiniCdb db(env::MakeInstance("mini", 8, 300), options);
+  const knobs::KnobRegistry& reg = db.registry();
+  const knobs::Config defaults = reg.DefaultConfig();
+  const size_t bp = *reg.FindIndex("innodb_buffer_pool_size");
+  auto encode = [&](const knobs::Config& config, const std::string& rng_text,
+                    int64_t crashes) {
+    persist::Encoder enc;
+    enc.WriteDoubleVec(config);
+    enc.WriteU64(env::kNumInternalMetrics);
+    for (size_t i = 0; i < env::kNumInternalMetrics; ++i) enc.WriteDouble(0);
+    enc.WriteString(rng_text);
+    enc.WriteI64(crashes);
+    return enc.Release();
+  };
+  const std::string rng_text = util::Rng(4).SerializeState();
+  ASSERT_TRUE(Restore(db, encode(defaults, rng_text, 0)).ok());
+  const std::string before = SavedState(db);
+
+  knobs::Config below = defaults;
+  below[bp] = reg.def(bp).min_value / 2;
+  knobs::Config nan = defaults;
+  nan[bp] = std::nan("");
+  for (const std::string& mutant :
+       {encode(knobs::Config(reg.size() + 1, 1.0), rng_text, 0),
+        encode(below, rng_text, 0), encode(nan, rng_text, 0),
+        encode(defaults, "", 0), encode(defaults, rng_text, -3)}) {
+    EXPECT_EQ(Restore(db, mutant).code(), util::StatusCode::kDataLoss);
+    EXPECT_EQ(SavedState(db), before);
+  }
 }
 
 TEST(WalTest, DurableLsnAdvancesOnlyOnFsync) {

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <string>
 
 #include "gtest/gtest.h"
 #include "env/instance.h"
@@ -386,6 +387,118 @@ TEST(SimulatedCdbTest, MongoCacheMatters) {
   SetKnob(mongo->registry(), c, "wiredtiger_cache_size", 8.0 * kGiB);
   double big = mongo->EvaluateNoiseless(c, w).throughput_tps;
   EXPECT_GT(big, small);
+}
+
+// --- Checkpoint codec ------------------------------------------------------------
+
+std::string SavedState(const DbInterface& db) {
+  persist::Encoder enc;
+  db.SaveBinary(enc);
+  return enc.Release();
+}
+
+util::Status Restore(DbInterface& db, const std::string& bytes) {
+  persist::Decoder dec(bytes);
+  CDBTUNE_RETURN_IF_ERROR(db.RestoreBinary(dec));
+  return dec.Finish();
+}
+
+// A restored instance carries on exactly like the saved one: same config,
+// crash count and counters, the same noise stream, and the same stress-call
+// count, so the injected regression starts on the same call.
+TEST(SimulatedCdbTest, RestoredInstanceStressesBitwiseLikeTheSaved) {
+  SimulatedCdb::DegradeSpec degrade;
+  degrade.knob = "innodb_buffer_pool_size";
+  degrade.after_stress_calls = 2;
+  degrade.severity = 0.5;
+  auto make = [&] {
+    auto db = SimulatedCdb::MysqlCdb(CdbA(), 7);
+    EXPECT_TRUE(db->SetDegrade(degrade).ok());
+    return db;
+  };
+  const auto rw = workload::SysbenchReadWrite();
+  auto saved = make();
+  knobs::Config tuned = saved->registry().DefaultConfig();
+  SetKnob(saved->registry(), tuned, "innodb_buffer_pool_size", 4.0 * kGiB);
+  knobs::Config oom = tuned;
+  SetKnob(saved->registry(), oom, "innodb_buffer_pool_size", 16.0 * kGiB);
+  ASSERT_TRUE(saved->ApplyConfig(tuned).ok());
+  ASSERT_TRUE(saved->RunStress(rw, 150.0).ok());
+  EXPECT_EQ(saved->ApplyConfig(oom).code(), util::StatusCode::kCrashed);
+  ASSERT_TRUE(saved->RunStress(rw, 150.0).ok());
+
+  auto restored = make();
+  ASSERT_TRUE(Restore(*restored, SavedState(*saved)).ok());
+  EXPECT_EQ(restored->current_config(), tuned);
+  EXPECT_EQ(restored->crash_count(), 1);
+  for (int i = 0; i < 2; ++i) {  // The first of these is degraded.
+    auto a = saved->RunStress(rw, 150.0);
+    auto b = restored->RunStress(rw, 150.0);
+    ASSERT_TRUE(a.ok() && b.ok());
+    EXPECT_EQ(a->before, b->before);
+    EXPECT_EQ(a->after, b->after);
+    EXPECT_EQ(a->external.throughput_tps, b->external.throughput_tps);
+    EXPECT_EQ(a->external.latency_p99_ms, b->external.latency_p99_ms);
+  }
+  EXPECT_EQ(SavedState(*saved), SavedState(*restored));
+}
+
+// Every catalog's default config is a fixed point of its Sanitize, so a
+// fresh instance of each engine flavour restores.
+TEST(SimulatedCdbTest, EveryCatalogRestoresAFreshInstance) {
+  for (auto make : {&SimulatedCdb::MysqlCdb, &SimulatedCdb::LocalMysql,
+                    &SimulatedCdb::Postgres, &SimulatedCdb::Mongo}) {
+    auto saved = make(CdbA(), 3);
+    auto restored = make(CdbA(), 4);
+    ASSERT_TRUE(Restore(*restored, SavedState(*saved)).ok());
+    EXPECT_EQ(SavedState(*saved), SavedState(*restored));
+  }
+}
+
+/// A SimulatedCdb state payload built field by field: config, counter
+/// count and the 63 counters, rng text, crash count, stress calls.
+std::string EncodedState(const knobs::Config& config, uint64_t counter_count,
+                         const std::string& rng_text, int64_t crashes) {
+  persist::Encoder enc;
+  enc.WriteDoubleVec(config);
+  enc.WriteU64(counter_count);
+  for (size_t i = 0; i < kNumInternalMetrics; ++i) enc.WriteDouble(1.0);
+  enc.WriteString(rng_text);
+  enc.WriteI64(crashes);
+  enc.WriteU64(0);
+  return enc.Release();
+}
+
+// Checkpoint bytes are range-checked before they reach the instance: each
+// mutant is DATA_LOSS and leaves the instance as it was. A config of the
+// wrong length is also how an older checkpoint's env-op log count reads.
+TEST(SimulatedCdbTest, RestoreRejectsOutOfRangeStateAsDataLoss) {
+  auto db = SimulatedCdb::MysqlCdb(CdbA());
+  const knobs::KnobRegistry& reg = db->registry();
+  const knobs::Config defaults = reg.DefaultConfig();
+  const std::string rng_text = util::Rng(9).SerializeState();
+  const size_t bp = *reg.FindIndex("innodb_buffer_pool_size");
+  knobs::Config beyond = defaults;
+  beyond[bp] = reg.def(bp).max_value * 2;
+  knobs::Config nan = defaults;
+  nan[bp] = std::nan("");
+  ASSERT_TRUE(Restore(*db, EncodedState(defaults, kNumInternalMetrics,
+                                        rng_text, 2))
+                  .ok());
+  const std::string before = SavedState(*db);
+
+  for (const std::string& mutant :
+       {EncodedState(knobs::Config(3, 0.0), kNumInternalMetrics, rng_text, 0),
+        EncodedState(beyond, kNumInternalMetrics, rng_text, 0),
+        EncodedState(nan, kNumInternalMetrics, rng_text, 0),
+        EncodedState(defaults, kNumInternalMetrics - 1, rng_text, 0),
+        EncodedState(defaults, kNumInternalMetrics, "not an rng state", 0),
+        EncodedState(defaults, kNumInternalMetrics, rng_text, -1),
+        EncodedState(defaults, kNumInternalMetrics, rng_text,
+                     int64_t{1} << 31)}) {
+    EXPECT_EQ(Restore(*db, mutant).code(), util::StatusCode::kDataLoss);
+    EXPECT_EQ(SavedState(*db), before);
+  }
 }
 
 }  // namespace

@@ -361,22 +361,6 @@ TEST(SequentialTest, CopyStateIncludesBatchNormBuffers) {
   EXPECT_NE(ya.at(0, 0), yc.at(0, 0));
 }
 
-TEST(OptimizerTest, SgdStepMath) {
-  util::Rng rng(19);
-  Sequential net;
-  net.Add(std::make_unique<Linear>(1, 1, rng));
-  auto params = net.Params();
-  params[0]->value.at(0, 0) = 1.0;
-  params[0]->grad.at(0, 0) = 2.0;
-  params[1]->value.at(0, 0) = 0.0;
-  params[1]->grad.at(0, 0) = 0.0;
-  Sgd sgd(params, 0.1, 0.9);
-  sgd.Step();
-  EXPECT_NEAR(params[0]->value.at(0, 0), 1.0 - 0.1 * 2.0, 1e-12);
-  sgd.Step();  // Momentum: v = 0.9*(-0.2) - 0.1*2 = -0.38.
-  EXPECT_NEAR(params[0]->value.at(0, 0), 0.8 - 0.38, 1e-12);
-}
-
 TEST(OptimizerTest, AdamFirstStepIsLrSizedSignedStep) {
   util::Rng rng(20);
   Sequential net;
@@ -397,8 +381,8 @@ TEST(OptimizerTest, GradClipScalesGlobalNorm) {
   params[0]->grad.at(0, 0) = 3.0;
   params[0]->grad.at(0, 1) = 4.0;  // Norm 5 across this parameter.
   params[1]->grad = Matrix(1, 2, 0.0);
-  Sgd sgd(params, 0.1);
-  sgd.ClipGradNorm(1.0);
+  Adam adam(params, 0.1);
+  adam.ClipGradNorm(1.0);
   EXPECT_NEAR(params[0]->grad.at(0, 0), 0.6, 1e-12);
   EXPECT_NEAR(params[0]->grad.at(0, 1), 0.8, 1e-12);
 }

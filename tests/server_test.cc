@@ -595,11 +595,12 @@ TEST(DispatchTest, UnsafeSessionSpecsAreRejected) {
   }
   EXPECT_EQ(Dispatch(server, "STEP id=0").rfind("ERR NOT_FOUND ", 0), 0u);
   EXPECT_EQ(server.open_sessions(), 0u);
-  // The bounds themselves are accepted.
+  // The bounds themselves are accepted, and no refused OPEN took an id.
   EXPECT_EQ(Dispatch(server, "OPEN engine=sim stress_s=3600 steps=1")
-                .rfind("OK ", 0),
+                .rfind("OK id=0 ", 0),
             0u);
-  EXPECT_EQ(Dispatch(server, "OPEN engine=sim stress_s=-1").rfind("OK ", 0),
+  EXPECT_EQ(Dispatch(server, "OPEN engine=sim stress_s=-1")
+                .rfind("OK id=1 ", 0),
             0u);
 }
 
@@ -698,6 +699,14 @@ void ExpectCheckpointResumeEquivalence(size_t threads) {
   TuningServerOptions options;
   options.train_iters_per_round = 2;  // Agent evolves: full state matters.
   auto specs = TestSpecs(4);
+  // A mini tenant: its engine restores by booting its saved config.
+  SessionSpec mini = specs[3];
+  mini.engine = "mini";
+  mini.hardware = env::MakeInstance("mini", 8, 300);
+  mini.mini_table_rows = 2000;
+  mini.stress_duration_s = 10;
+  mini.seed = 13;
+  specs.push_back(mini);
 
   TuningServer a(options);
   ASSERT_TRUE(a.AdoptModel(SharedTrainedTuner()).ok());
@@ -720,7 +729,7 @@ void ExpectCheckpointResumeEquivalence(size_t threads) {
   TuningServer b(options);  // No model adopted: the checkpoint carries it.
   auto report = b.RestoreCheckpoint(mid);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report->sessions, 4u);
+  EXPECT_EQ(report->sessions, 5u);
   EXPECT_EQ(report->rounds_completed, 2u);
   EXPECT_TRUE(report->dropped.empty());
   EXPECT_EQ(b.rounds_completed(), 2u);
@@ -840,11 +849,24 @@ TEST(CheckpointTest, CorruptCheckpointLeavesServerUntouched) {
   RemoveGenerations(path);
 }
 
+/// A server/meta payload: the next session id, the rounds completed and the
+/// open sessions' ids.
+std::string MetaPayload(int64_t next_id, uint64_t rounds,
+                        const std::vector<int64_t>& ids) {
+  persist::Encoder enc;
+  enc.WriteI64(next_id);
+  enc.WriteU64(rounds);
+  enc.WriteU64(ids.size());
+  for (int64_t id : ids) enc.WriteI64(id);
+  return enc.Release();
+}
+
 // The server-checkpoint sweep: every chunk of a real checkpoint holding one
 // plain and one guarded sim session, truncated and replaced with garbage in
 // a re-CRC'd container, plus well-formed chunks the server cannot use:
 // server/model_meta with collector statistics of the wrong dimension or a
-// best action of length 3, session specs and agent options out of range.
+// best action of length 3, session specs and agent options out of range,
+// and session ids outside [0, next_id).
 // Each must fail RestoreCheckpoint with a Status rather than abort — then
 // or at a later ROUND — and leave the target without sessions or model;
 // afterwards the same target restores the good checkpoint and steps.
@@ -957,22 +979,18 @@ TEST(CheckpointTest, TruncatedOrGarbageChunkPayloadsFailCleanly) {
               util::StatusCode::kDataLoss);
   }
 
-  // A CRC-valid env log of one-byte stress records: session 0 took one step
-  // (log: baseline stress, deploy, stress), so at most 3 * 1 + 4 ops can be
-  // genuine. Each extra record would replay a whole stress test.
-  const std::string state = std::string(*file.Get("session/0/state"));
-  persist::Encoder log_head, long_log_head;
-  log_head.WriteU64(3);
-  log_head.WriteBool(false);
-  log_head.WriteBool(true);
-  constexpr uint64_t kExtraStresses = 10000;
-  long_log_head.WriteU64(3 + kExtraStresses);
-  for (uint64_t i = 0; i <= kExtraStresses; ++i) long_log_head.WriteBool(false);
-  long_log_head.WriteBool(true);
-  EXPECT_EQ(restore_mutant("session/0/state",
-                           tests::ReplaceOnce(state, log_head.bytes(),
-                                              long_log_head.bytes())),
-            util::StatusCode::kDataLoss);
+  // Session ids out of range in server/meta. next_id 1 while session 1
+  // exists would let the next OPEN reuse id 1; 2^32 narrowed to 0 and
+  // restored session 0 under the wrong id.
+  constexpr int64_t k2To32 = int64_t{1} << 32;
+  ASSERT_EQ(std::string(*file.Get("server/meta")), MetaPayload(2, 1, {0, 1}));
+  for (const std::string& meta :
+       {MetaPayload(1, 1, {0, 1}), MetaPayload(-1, 1, {}),
+        MetaPayload(2, 1, {k2To32, 1}),
+        MetaPayload(k2To32 + 2, 1, {k2To32, k2To32 + 1})}) {
+    EXPECT_EQ(restore_mutant("server/meta", meta),
+              util::StatusCode::kDataLoss);
+  }
 
   auto report = target.RestoreCheckpoint(good);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
@@ -980,6 +998,40 @@ TEST(CheckpointTest, TruncatedOrGarbageChunkPayloadsFailCleanly) {
   auto stepped = target.StepRound();
   ASSERT_TRUE(stepped.ok()) << stepped.status().ToString();
   EXPECT_EQ(*stepped, 2u);
+  RemoveGenerations(good);
+  RemoveGenerations(path);
+}
+
+// A checkpoint whose next session id is INT_MAX restores and keeps tuning,
+// but it has no id left to give: OPEN is refused rather than overflowing.
+TEST(CheckpointTest, ExhaustedSessionIdsRefuseOpen) {
+  const std::string good = CheckpointPath("ids_good");
+  const std::string path = CheckpointPath("ids_max");
+  RemoveGenerations(good);
+  RemoveGenerations(path);
+  {
+    TuningServer donor;
+    ASSERT_TRUE(donor.AdoptModel(SharedTrainedTuner()).ok());
+    ASSERT_TRUE(donor.Open(TestSpecs(1)[0]).ok());
+    ASSERT_TRUE(donor.SaveCheckpoint(good).ok());
+  }
+  auto parsed = persist::ChunkFile::Parse(FileBytes(good));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_TRUE(persist::AtomicWriteFile(
+                  path, tests::RebuildWithPayload(
+                            *parsed, "server/meta",
+                            MetaPayload(std::numeric_limits<int>::max(), 0,
+                                        {0})))
+                  .ok());
+
+  TuningServer server;
+  auto report = server.RestoreCheckpoint(path);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  auto refused = server.Open(TestSpecs(1)[0]);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), util::StatusCode::kFailedPrecondition);
+  EXPECT_EQ(server.open_sessions(), 1u);
+  EXPECT_TRUE(server.Step(0).ok());
   RemoveGenerations(good);
   RemoveGenerations(path);
 }
@@ -1285,7 +1337,9 @@ std::vector<tuner::OnlineTuneResult> RunPhasedSchedule(
       while (!stop) {
         auto id = server.Open(spare);
         EXPECT_TRUE(id.ok()) << id.status().ToString();
-        if (id.ok()) EXPECT_TRUE(server.Close(*id).ok());
+        if (id.ok()) {
+          EXPECT_TRUE(server.Close(*id).ok());
+        }
       }
     });
   }

@@ -1,15 +1,16 @@
 #!/usr/bin/env bash
 # Crash-recovery smoke test (DESIGN.md §9): start the tuning daemon with
-# round-interval autosave, tune for a few rounds, SIGKILL it mid-flight,
-# restart with --restore, and require the restored session trajectory to be
-# byte-identical to the pre-kill one — then keep tuning to completion over
-# the same protocol. A second phase repeats the exercise against the safety
+# round-interval autosave, tune two simulator tenants and one mini-engine
+# tenant for a few rounds, SIGKILL it mid-flight, restart with --restore,
+# and require every restored session trajectory to be byte-identical to the
+# pre-kill one — then keep tuning to completion over the same protocol. A second phase repeats the exercise against the safety
 # guardrail (DESIGN.md §12): a guarded session with an injected regression
 # is killed -9 right after its rollback fired, and the restore must land
 # the tenant back on its last-known-good config with identical guardrail
 # telemetry. A third phase sends hostile requests (an endless stress test,
 # a 10^8-wide agent, a repeated key, an over-cap ROUND) to a fresh daemon,
-# which must refuse each with ERR and still answer PING. The daemon listens
+# which must refuse each with ERR, still answer PING, and hand the first
+# OPEN after them id 0 (a refused OPEN takes no id). The daemon listens
 # on an ephemeral loopback TCP port; every start reads the bound port from
 # the daemon's "listening on tcp" line. A malformed flag value must be
 # rejected with exit status 2. Usage:
@@ -79,14 +80,18 @@ done
 echo "== start daemon with autosave -> $CKPT"
 start_daemon --checkpoint "$CKPT" --autosave 1
 
-echo "== open two sessions, tune two rounds (each round autosaves)"
+echo "== open three sessions (one on the mini engine), tune two rounds" \
+     "(each round autosaves)"
 send 'OPEN engine=sim workload=sysbench_rw seed=7 steps=5' \
      'OPEN engine=sim workload=tpcc seed=11 steps=5' \
+     'OPEN engine=mini workload=tpcc seed=13 steps=5 rows=2000 stress_s=10 ram_gb=8 disk_gb=300' \
      'ROUND n=2'
 BEFORE_S0="$(send 'STATUS id=0')"
 BEFORE_S1="$(send 'STATUS id=1')"
+BEFORE_S2="$(send 'STATUS id=2')"
 echo "   pre-kill:  $BEFORE_S0"
 echo "   pre-kill:  $BEFORE_S1"
+echo "   pre-kill:  $BEFORE_S2"
 [[ "$BEFORE_S0" == *"steps=2"* ]] || {
   echo "FAIL: expected 2 steps before the kill" >&2
   exit 1
@@ -106,9 +111,12 @@ start_daemon --checkpoint "$CKPT" --restore
 
 AFTER_S0="$(send 'STATUS id=0')"
 AFTER_S1="$(send 'STATUS id=1')"
+AFTER_S2="$(send 'STATUS id=2')"
 echo "   restored:  $AFTER_S0"
 echo "   restored:  $AFTER_S1"
-if [[ "$AFTER_S0" != "$BEFORE_S0" || "$AFTER_S1" != "$BEFORE_S1" ]]; then
+echo "   restored:  $AFTER_S2"
+if [[ "$AFTER_S0" != "$BEFORE_S0" || "$AFTER_S1" != "$BEFORE_S1" ||
+      "$AFTER_S2" != "$BEFORE_S2" ]]; then
   echo "FAIL: restored session status differs from pre-kill status" >&2
   exit 1
 fi
@@ -120,7 +128,7 @@ echo "   $FINAL_ROUND"
   echo "FAIL: post-restore ROUND failed" >&2
   exit 1
 }
-for id in 0 1; do
+for id in 0 1 2; do
   CLOSED="$(send "CLOSE id=$id")"
   echo "   $CLOSED"
   [[ "$CLOSED" == OK* && "$CLOSED" == *"steps=5"* ]] || {
@@ -200,8 +208,8 @@ wait "$DAEMON_PID" 2> /dev/null || true
 DAEMON_PID=""
 
 echo "== phase 3: hostile requests are refused and the daemon keeps serving"
-# Its own daemon: a refused OPEN still consumes a session id, which would
-# shift the id=0/id=1 checks above.
+# Its own daemon, so the id check below starts from a server with no
+# sessions opened.
 start_daemon
 for request in 'OPEN engine=sim stress_s=1e300' 'STEP id=0' \
                'REBUILD actor_hidden=100000000-100000000' \
@@ -216,6 +224,11 @@ for request in 'OPEN engine=sim stress_s=1e300' 'STEP id=0' \
 done
 PONG="$(send PING)" || fail_with_log "no reply to PING after hostile requests"
 [[ "$PONG" == "OK pong=1" ]] || fail_with_log "PING got '$PONG'"
+OPENED="$(send 'OPEN engine=sim steps=1')" ||
+  fail_with_log "no reply to OPEN after hostile requests"
+echo "   OPEN engine=sim steps=1 -> $OPENED"
+[[ "$OPENED" == "OK id=0 "* ]] ||
+  fail_with_log "a refused OPEN took a session id: got '$OPENED'"
 send SHUTDOWN > /dev/null
 wait "$DAEMON_PID" 2> /dev/null || true
 DAEMON_PID=""
