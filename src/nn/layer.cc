@@ -10,23 +10,20 @@ void SaveMatrixBinary(persist::Encoder& enc, const Matrix& m) {
   enc.WriteU64(m.rows());
   enc.WriteU64(m.cols());
   const double* data = m.data();
-  for (size_t i = 0; i < m.size(); ++i) enc.WriteDouble(data[i]);
+  enc.WriteDoubles(data, m.size());
 }
 
-util::Status LoadMatrixBinary(persist::Decoder& dec, Matrix* out) {
+util::Status LoadMatrixBinary(persist::Decoder& dec, Matrix* into) {
   uint64_t rows = 0, cols = 0;
   if (!dec.ReadU64(&rows) || !dec.ReadU64(&cols)) return dec.status();
-  if (cols != 0 && rows > dec.remaining() / (8 * cols)) {
-    return util::Status::DataLoss("matrix dimensions exceed payload: " +
-                                  std::to_string(rows) + "x" +
-                                  std::to_string(cols));
+  // Compared before any arithmetic, so no header can overflow a size.
+  if (rows != into->rows() || cols != into->cols()) {
+    return util::Status::DataLoss(
+        "checkpoint matrix is " + std::to_string(rows) + "x" +
+        std::to_string(cols) + ", expected " + std::to_string(into->rows()) +
+        "x" + std::to_string(into->cols()));
   }
-  Matrix m(rows, cols);
-  double* data = m.data();
-  for (size_t i = 0; i < m.size(); ++i) {
-    if (!dec.ReadDouble(&data[i])) return dec.status();
-  }
-  *out = std::move(m);
+  if (!dec.ReadDoubles(into->data(), into->size())) return dec.status();
   return util::Status::Ok();
 }
 
@@ -38,13 +35,7 @@ void Layer::SaveBinary(persist::Encoder& enc) const {
 
 util::Status Layer::LoadBinary(persist::Decoder& dec) {
   for (Parameter* p : Params()) {
-    Matrix loaded;
-    CDBTUNE_RETURN_IF_ERROR(LoadMatrixBinary(dec, &loaded));
-    if (!loaded.SameShape(p->value)) {
-      return util::Status::DataLoss(
-          "checkpoint shape mismatch for parameter " + p->name);
-    }
-    p->value = std::move(loaded);
+    CDBTUNE_RETURN_IF_ERROR(LoadMatrixBinary(dec, &p->value));
   }
   return util::Status::Ok();
 }
@@ -65,6 +56,9 @@ Linear::Linear(size_t in_features, size_t out_features, util::Rng& rng,
       w = Matrix::RandomUniform(in_features, out_features, -bound, bound, rng);
       break;
     }
+    case InitScheme::kZero:
+      w = Matrix(in_features, out_features);
+      break;
   }
   weight_ = Parameter(std::move(w), "weight");
   bias_ = Parameter(Matrix(1, out_features), "bias");
@@ -324,15 +318,8 @@ void BatchNorm::SaveBinary(persist::Encoder& enc) const {
 
 util::Status BatchNorm::LoadBinary(persist::Decoder& dec) {
   CDBTUNE_RETURN_IF_ERROR(Layer::LoadBinary(dec));
-  Matrix mean, var;
-  CDBTUNE_RETURN_IF_ERROR(LoadMatrixBinary(dec, &mean));
-  CDBTUNE_RETURN_IF_ERROR(LoadMatrixBinary(dec, &var));
-  if (!mean.SameShape(running_mean_) || !var.SameShape(running_var_)) {
-    return util::Status::DataLoss("checkpoint BatchNorm buffer shape mismatch");
-  }
-  running_mean_ = std::move(mean);
-  running_var_ = std::move(var);
-  return util::Status::Ok();
+  CDBTUNE_RETURN_IF_ERROR(LoadMatrixBinary(dec, &running_mean_));
+  return LoadMatrixBinary(dec, &running_var_);
 }
 
 ParallelLinear::ParallelLinear(size_t left_in, size_t left_out,

@@ -14,9 +14,13 @@ namespace cdbtune::nn {
 
 /// Bit-exact binary matrix codec used by the checkpoint subsystem: u64
 /// rows, u64 cols, then every element bit-cast through uint64_t, so there
-/// is no formatting round-trip to reason about.
+/// is no formatting round-trip to reason about. LoadMatrixBinary decodes in
+/// place: a header that differs from `into`'s live shape is kDataLoss
+/// before anything is allocated or written; a short payload fails partway
+/// and leaves `into` partly overwritten, so loaders restore into a scratch
+/// object they can discard.
 void SaveMatrixBinary(persist::Encoder& enc, const Matrix& m);
-util::Status LoadMatrixBinary(persist::Decoder& dec, Matrix* out);
+util::Status LoadMatrixBinary(persist::Decoder& dec, Matrix* into);
 
 /// A learnable tensor plus its accumulated gradient. Optimizers operate on
 /// flat lists of these, collected from layers via Layer::Params().
@@ -38,6 +42,7 @@ enum class InitScheme {
   kUniform01,      // U(-0.1, 0.1)
   kGaussian001,    // N(0, 0.01)
   kXavierUniform,  // U(+-sqrt(6/(fan_in+fan_out)))
+  kZero,           // All zeros, no draw: the weights are loaded next.
 };
 
 /// Base class for all network layers.
@@ -77,6 +82,8 @@ class Layer {
   /// identically in eval. LoadBinary validates shapes against the live
   /// layer and rejects mismatches instead of aborting, so a corrupt or
   /// foreign checkpoint surfaces as a Status the caller can fall back from.
+  /// It decodes in place (LoadMatrixBinary): on failure the layer may hold
+  /// a mix of old and new values.
   virtual void SaveBinary(persist::Encoder& enc) const;
   virtual util::Status LoadBinary(persist::Decoder& dec);
 };

@@ -21,12 +21,7 @@ util::Status LoadMoments(persist::Decoder& dec, std::vector<Matrix>* moments) {
                                   std::to_string(moments->size()));
   }
   for (Matrix& slot : *moments) {
-    Matrix loaded;
-    CDBTUNE_RETURN_IF_ERROR(LoadMatrixBinary(dec, &loaded));
-    if (!loaded.SameShape(slot)) {
-      return util::Status::DataLoss("optimizer moment shape mismatch");
-    }
-    slot = std::move(loaded);
+    CDBTUNE_RETURN_IF_ERROR(LoadMatrixBinary(dec, &slot));
   }
   return util::Status::Ok();
 }

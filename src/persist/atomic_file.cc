@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -43,19 +44,31 @@ util::StatusOr<std::string> ReadFile(const std::string& path) {
     }
     return util::Status::Internal(Errno("open", path));
   }
-  std::string out;
-  char buf[1 << 16];
+  // Read straight into a buffer sized by fstat, plus one spare byte so the
+  // read that sees end-of-file needs no growth. The loop still copes with
+  // short reads, EINTR, and a file whose size fstat cannot tell or that
+  // changes while it is read.
+  struct stat st {};
+  const size_t expected = ::fstat(fd, &st) == 0 && st.st_size > 0
+                              ? static_cast<size_t>(st.st_size)
+                              : 0;
+  std::string out(expected + 1, '\0');
+  size_t len = 0;
   for (;;) {
-    ssize_t n = ::read(fd, buf, sizeof(buf));
+    if (len == out.size()) {
+      out.resize(std::max(2 * out.size(), size_t{1} << 16));
+    }
+    ssize_t n = ::read(fd, out.data() + len, out.size() - len);
     if (n < 0) {
       if (errno == EINTR) continue;
       ::close(fd);
       return util::Status::Internal(Errno("read", path));
     }
     if (n == 0) break;
-    out.append(buf, static_cast<size_t>(n));
+    len += static_cast<size_t>(n);
   }
   ::close(fd);
+  out.resize(len);
   return out;
 }
 

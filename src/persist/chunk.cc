@@ -26,7 +26,17 @@ void ChunkWriter::Add(std::string name, std::string payload) {
 }
 
 util::StatusOr<std::string> ChunkWriter::Finish() const {
+  Encoder end_payload;
+  end_payload.WriteU64(chunks_.size());
+  // Frame overhead: u32 name length, u64 payload length, u32 CRC.
+  constexpr size_t kFrameOverhead = 4 + 8 + 4;
+  size_t total = kCheckpointMagicSize + kFrameOverhead + kEndChunkName.size() +
+                 end_payload.bytes().size();
+  for (const auto& [name, payload] : chunks_) {
+    total += kFrameOverhead + name.size() + payload.size();
+  }
   std::string out;
+  out.reserve(total);
   out.append(kCheckpointMagic, kCheckpointMagicSize);
   for (size_t i = 0; i < chunks_.size(); ++i) {
     const std::string& name = chunks_[i].first;
@@ -42,8 +52,6 @@ util::StatusOr<std::string> ChunkWriter::Finish() const {
     }
     AppendFrame(&out, name, chunks_[i].second);
   }
-  Encoder end_payload;
-  end_payload.WriteU64(chunks_.size());
   AppendFrame(&out, kEndChunkName, end_payload.bytes());
   return out;
 }

@@ -1,5 +1,6 @@
 #include "persist/encoding.h"
 
+#include <bit>
 #include <limits>
 
 namespace cdbtune::persist {
@@ -28,9 +29,18 @@ void Encoder::WriteString(std::string_view s) {
   Append(s.data(), s.size());
 }
 
+void Encoder::WriteDoubles(const double* p, size_t n) {
+  // A little-endian double's in-memory bytes are its WriteDouble bytes.
+  if constexpr (std::endian::native == std::endian::little) {
+    Append(p, n * sizeof(double));
+  } else {
+    for (size_t i = 0; i < n; ++i) WriteDouble(p[i]);
+  }
+}
+
 void Encoder::WriteDoubleVec(const std::vector<double>& v) {
   WriteU64(v.size());
-  for (double d : v) WriteDouble(d);
+  WriteDoubles(v.data(), v.size());
 }
 
 bool Decoder::Take(void* out, size_t size) {
@@ -100,15 +110,28 @@ bool Decoder::ReadString(std::string* s) {
   return true;
 }
 
+bool Decoder::ReadDoubles(double* p, size_t n) {
+  if (!ok_) return false;
+  // Each element takes 8 bytes; an impossible count means a corrupt length.
+  if (n > remaining() / sizeof(double)) return Fail();
+  if constexpr (std::endian::native == std::endian::little) {
+    // `p` may be null when n == 0 (an empty vector's data()).
+    return n == 0 || Take(p, n * sizeof(double));
+  } else {
+    for (size_t i = 0; i < n; ++i) {
+      if (!ReadDouble(&p[i])) return false;
+    }
+    return true;
+  }
+}
+
 bool Decoder::ReadDoubleVec(std::vector<double>* v) {
   uint64_t size = 0;
   if (!ReadU64(&size)) return false;
-  // Each element takes 8 bytes; an impossible count means a corrupt length.
-  if (size > remaining() / 8) return Fail();
+  // Refused before the allocation, not only inside ReadDoubles.
+  if (size > remaining() / sizeof(double)) return Fail();
   std::vector<double> values(size);
-  for (uint64_t i = 0; i < size; ++i) {
-    if (!ReadDouble(&values[i])) return false;
-  }
+  if (!ReadDoubles(values.data(), values.size())) return false;
   *v = std::move(values);
   return true;
 }

@@ -28,6 +28,9 @@ class Encoder {
 
   /// Length-prefixed (u64) byte string.
   void WriteString(std::string_view s);
+  /// `n` bit-cast doubles, no length prefix: the same bytes as `n`
+  /// WriteDouble calls, written with one copy on a little-endian host.
+  void WriteDoubles(const double* p, size_t n);
   /// Length-prefixed (u64) vector of bit-cast doubles.
   void WriteDoubleVec(const std::vector<double>& v);
 
@@ -62,6 +65,10 @@ class Decoder {
   bool ReadI64(int64_t* v);
   bool ReadDouble(double* v);
   bool ReadString(std::string* s);
+  /// Reads `n` doubles written by WriteDoubles (or `n` WriteDouble calls)
+  /// into `p`, with one copy on a little-endian host. A count the
+  /// remaining bytes cannot hold fails before `p` is touched.
+  bool ReadDoubles(double* p, size_t n);
   bool ReadDoubleVec(std::vector<double>* v);
 
   /// True when every byte has been consumed and no error occurred.

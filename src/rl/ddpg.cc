@@ -164,12 +164,21 @@ std::string DdpgOptionsDiff(const DdpgOptions& a, const DdpgOptions& b) {
 }
 
 DdpgAgent::DdpgAgent(DdpgOptions options)
+    : DdpgAgent(std::move(options), nn::InitScheme::kUniform01,
+                nn::InitScheme::kGaussian001) {}
+
+DdpgAgent::DdpgAgent(DdpgOptions options, RestoreTargetTag)
+    : DdpgAgent(std::move(options), nn::InitScheme::kZero,
+                nn::InitScheme::kZero) {}
+
+DdpgAgent::DdpgAgent(DdpgOptions options, nn::InitScheme actor_init,
+                     nn::InitScheme critic_init)
     : options_(std::move(options)),
       rng_(options_.seed),
-      actor_(BuildActor()),
-      critic_(BuildCritic()),
-      actor_target_(BuildActor()),
-      critic_target_(BuildCritic()),
+      actor_(BuildActor(actor_init)),
+      critic_(BuildCritic(critic_init)),
+      actor_target_(BuildActor(actor_init)),
+      critic_target_(BuildCritic(critic_init)),
       noise_(options_.action_dim, options_.noise_theta, options_.noise_sigma,
              util::Rng(options_.seed ^ 0x9E3779B97F4A7C15ULL)) {
   actor_target_.CopyParamsFrom(actor_);
@@ -184,7 +193,7 @@ DdpgAgent::DdpgAgent(DdpgOptions options)
   }
 }
 
-nn::Sequential DdpgAgent::BuildActor() {
+nn::Sequential DdpgAgent::BuildActor(nn::InitScheme init) {
   // Paper Table 5 (actor): Input 63 -> FC 128 -> LeakyReLU(0.2) ->
   // BatchNorm -> FC 128 -> Tanh -> Dropout(0.3) -> FC 128 -> Tanh ->
   // FC 64 -> Tanh -> Output #Knobs (sigmoid squash into the normalized
@@ -194,7 +203,7 @@ nn::Sequential DdpgAgent::BuildActor() {
   size_t in = options_.state_dim;
   for (size_t i = 0; i < options_.actor_hidden.size(); ++i) {
     size_t out = options_.actor_hidden[i];
-    net.Add(std::make_unique<nn::Linear>(in, out, rng_));
+    net.Add(std::make_unique<nn::Linear>(in, out, rng_, init));
     if (i == 0) {
       net.Add(std::make_unique<nn::LeakyRelu>(options_.leaky_slope));
       net.Add(std::make_unique<nn::BatchNorm>(out));
@@ -206,12 +215,12 @@ nn::Sequential DdpgAgent::BuildActor() {
     }
     in = out;
   }
-  net.Add(std::make_unique<nn::Linear>(in, options_.action_dim, rng_));
+  net.Add(std::make_unique<nn::Linear>(in, options_.action_dim, rng_, init));
   net.Add(std::make_unique<nn::Sigmoid>());
   return net;
 }
 
-nn::Sequential DdpgAgent::BuildCritic() {
+nn::Sequential DdpgAgent::BuildCritic(nn::InitScheme init) {
   // Paper Table 5 (critic): Input (#Knobs + 63) -> Parallel FC (128 + 128)
   // -> FC 256 -> LeakyReLU(0.2) -> BatchNorm -> FC -> Dropout(0.3) ->
   // FC 64 -> Tanh -> Output 1. Critic learnable parameters initialize
@@ -219,12 +228,11 @@ nn::Sequential DdpgAgent::BuildCritic() {
   nn::Sequential net;
   net.Add(std::make_unique<nn::ParallelLinear>(
       options_.state_dim, options_.critic_embed, options_.action_dim,
-      options_.critic_embed, rng_, nn::InitScheme::kGaussian001));
+      options_.critic_embed, rng_, init));
   size_t in = 2 * options_.critic_embed;
   for (size_t i = 0; i < options_.critic_hidden.size(); ++i) {
     size_t out = options_.critic_hidden[i];
-    net.Add(std::make_unique<nn::Linear>(in, out, rng_,
-                                         nn::InitScheme::kGaussian001));
+    net.Add(std::make_unique<nn::Linear>(in, out, rng_, init));
     if (i == 0) {
       net.Add(std::make_unique<nn::LeakyRelu>(options_.leaky_slope));
       net.Add(std::make_unique<nn::BatchNorm>(out));
@@ -236,8 +244,7 @@ nn::Sequential DdpgAgent::BuildCritic() {
     }
     in = out;
   }
-  net.Add(
-      std::make_unique<nn::Linear>(in, 1, rng_, nn::InitScheme::kGaussian001));
+  net.Add(std::make_unique<nn::Linear>(in, 1, rng_, init));
   return net;
 }
 
@@ -467,7 +474,8 @@ util::Status DdpgAgent::RestoreFromChunks(const persist::ChunkFile& file,
       }));
   CDBTUNE_RETURN_IF_ERROR(
       file.Decode(prefix + "replay", [&](persist::Decoder& dec) {
-        return replay_->LoadBinary(dec);
+        return replay_->LoadBinary(dec, options_.state_dim,
+                                   options_.action_dim);
       }));
   return file.Decode(prefix + "noise", [&](persist::Decoder& dec) {
     return noise_.LoadBinary(dec);

@@ -76,6 +76,10 @@ struct TrainStats {
   double mean_td_error = 0.0;
 };
 
+/// Selects DdpgAgent's restore-target constructor.
+struct RestoreTargetTag {};
+inline constexpr RestoreTargetTag kRestoreTarget{};
+
 /// Deep Deterministic Policy Gradient agent (Section 4.1, Algorithm 1).
 ///
 /// Actions live in [0, 1]^action_dim — the normalized knob space; the
@@ -83,7 +87,16 @@ struct TrainStats {
 /// processed 63-metric vectors from the metrics collector.
 class DdpgAgent {
  public:
+  /// A fresh agent: weights drawn from the agent's rng (paper Table 4).
   explicit DdpgAgent(DdpgOptions options);
+
+  /// The same shapes with all-zero weights and no rng draw: the target of
+  /// RestoreFromChunks, which overwrites every weight, BatchNorm buffer,
+  /// Adam moment, replay slot, noise process and the rng stream, so a
+  /// restore into it is bitwise the same as one into a drawn agent. Not for
+  /// CloneWeightsFrom, which copies only network state: there the rng
+  /// stream the draws leave behind stays live.
+  DdpgAgent(DdpgOptions options, RestoreTargetTag);
 
   /// The single-tenant entry point: policy output mu(s), plus, when
   /// `explore`, a draw from the agent-owned Ornstein-Uhlenbeck process,
@@ -147,8 +160,11 @@ class DdpgAgent {
   size_t NumParameters();
 
  private:
-  nn::Sequential BuildActor();
-  nn::Sequential BuildCritic();
+  DdpgAgent(DdpgOptions options, nn::InitScheme actor_init,
+            nn::InitScheme critic_init);
+
+  nn::Sequential BuildActor(nn::InitScheme init);
+  nn::Sequential BuildCritic(nn::InitScheme init);
   static nn::Matrix CriticInput(const nn::Matrix& states,
                                 const nn::Matrix& actions);
 

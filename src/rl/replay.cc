@@ -19,16 +19,45 @@ void SaveTransitionBinary(persist::Encoder& enc, const Transition& t) {
   enc.WriteBool(t.terminal);
 }
 
-util::Status LoadTransitionBinary(persist::Decoder& dec, Transition* out) {
+util::Status LoadTransitionBinary(persist::Decoder& dec, Transition* out,
+                                  size_t state_dim, size_t action_dim) {
   Transition t;
   if (!dec.ReadDoubleVec(&t.state) || !dec.ReadDoubleVec(&t.action) ||
       !dec.ReadDouble(&t.reward) || !dec.ReadDoubleVec(&t.next_state) ||
       !dec.ReadBool(&t.terminal)) {
     return dec.status();
   }
+  if (t.state.size() != state_dim || t.next_state.size() != state_dim ||
+      t.action.size() != action_dim) {
+    return util::Status::DataLoss(
+        "checkpoint transition has state/action/next_state dimensions " +
+        std::to_string(t.state.size()) + "/" + std::to_string(t.action.size()) +
+        "/" + std::to_string(t.next_state.size()) + ", expected " +
+        std::to_string(state_dim) + "/" + std::to_string(action_dim) + "/" +
+        std::to_string(state_dim));
+  }
   *out = std::move(t);
   return util::Status::Ok();
 }
+
+namespace {
+
+/// A ring fills its slots in order before it wraps, so while it holds fewer
+/// than `capacity` items its cursor is at the end. Both replays grow by
+/// push_back and depend on this.
+util::Status CheckRingCursor(uint64_t capacity, uint64_t next, uint64_t size) {
+  if (size > capacity || next >= capacity) {
+    return util::Status::DataLoss("replay checkpoint cursor out of range");
+  }
+  if (size < capacity && next != size) {
+    return util::Status::DataLoss(
+        "replay checkpoint cursor " + std::to_string(next) +
+        " is not at the end of its " + std::to_string(size) + " items");
+  }
+  return util::Status::Ok();
+}
+
+}  // namespace
 
 UniformReplay::UniformReplay(size_t capacity) : capacity_(capacity) {
   CDBTUNE_CHECK(capacity > 0) << "replay capacity must be positive";
@@ -52,20 +81,22 @@ void UniformReplay::SaveBinary(persist::Encoder& enc) const {
   for (const Transition& t : items_) SaveTransitionBinary(enc, t);
 }
 
-util::Status UniformReplay::LoadBinary(persist::Decoder& dec) {
+util::Status UniformReplay::LoadBinary(persist::Decoder& dec,
+                                       size_t state_dim, size_t action_dim) {
   std::string tag;
   uint64_t capacity = 0, next = 0, count = 0;
   if (!dec.ReadString(&tag) || !dec.ReadU64(&capacity) ||
       !dec.ReadU64(&next) || !dec.ReadU64(&count)) {
     return dec.status();
   }
-  if (tag != "uniform" || capacity != capacity_ || count > capacity ||
-      next >= capacity) {
+  if (tag != "uniform" || capacity != capacity_) {
     return util::Status::DataLoss("uniform replay checkpoint mismatch");
   }
+  CDBTUNE_RETURN_IF_ERROR(CheckRingCursor(capacity, next, count));
   std::vector<Transition> items(count);
   for (Transition& t : items) {
-    CDBTUNE_RETURN_IF_ERROR(LoadTransitionBinary(dec, &t));
+    CDBTUNE_RETURN_IF_ERROR(
+        LoadTransitionBinary(dec, &t, state_dim, action_dim));
   }
   items_ = std::move(items);
   next_ = next;
@@ -91,7 +122,7 @@ PrioritizedReplay::PrioritizedReplay(size_t capacity, double alpha,
                                      double beta)
     : capacity_(capacity), alpha_(alpha), beta_(beta) {
   CDBTUNE_CHECK(capacity > 0) << "replay capacity must be positive";
-  items_.resize(capacity);
+  items_.reserve(capacity);
   leaf_base_ = 1;
   while (leaf_base_ < capacity_) leaf_base_ <<= 1;
   tree_.assign(2 * leaf_base_, 0.0);
@@ -127,7 +158,11 @@ size_t PrioritizedReplay::FindSlot(double mass) const {
 }
 
 void PrioritizedReplay::Add(Transition transition) {
-  items_[next_] = std::move(transition);
+  if (items_.size() < capacity_) {
+    items_.push_back(std::move(transition));  // next_ == size_ until full.
+  } else {
+    items_[next_] = std::move(transition);
+  }
   // New samples enter with the current max priority so they are seen at
   // least once before their TD error is known.
   SetPriority(next_, std::pow(max_priority_, alpha_));
@@ -193,7 +228,9 @@ void PrioritizedReplay::SaveBinary(persist::Encoder& enc) const {
   }
 }
 
-util::Status PrioritizedReplay::LoadBinary(persist::Decoder& dec) {
+util::Status PrioritizedReplay::LoadBinary(persist::Decoder& dec,
+                                           size_t state_dim,
+                                           size_t action_dim) {
   std::string tag;
   uint64_t capacity = 0, next = 0, size = 0;
   double alpha = 0.0, beta = 0.0, max_priority = 0.0;
@@ -203,13 +240,17 @@ util::Status PrioritizedReplay::LoadBinary(persist::Decoder& dec) {
       !dec.ReadU64(&size)) {
     return dec.status();
   }
-  if (tag != "prioritized" || capacity != capacity_ || size > capacity ||
-      next >= capacity) {
+  if (tag != "prioritized" || capacity != capacity_) {
     return util::Status::DataLoss("prioritized replay checkpoint mismatch");
   }
-  std::vector<Transition> items(capacity_);
+  CDBTUNE_RETURN_IF_ERROR(CheckRingCursor(capacity, next, size));
+  std::vector<Transition> items;
+  items.reserve(capacity_);
   for (size_t slot = 0; slot < size; ++slot) {
-    CDBTUNE_RETURN_IF_ERROR(LoadTransitionBinary(dec, &items[slot]));
+    Transition t;
+    CDBTUNE_RETURN_IF_ERROR(
+        LoadTransitionBinary(dec, &t, state_dim, action_dim));
+    items.push_back(std::move(t));
   }
   std::vector<double> priorities(size);
   for (size_t slot = 0; slot < size; ++slot) {

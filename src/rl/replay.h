@@ -23,9 +23,13 @@ struct Transition {
 };
 
 /// Bit-exact Transition codec shared by the replay buffers and the tuner's
-/// experience pool checkpoints.
+/// experience pool checkpoints. LoadTransitionBinary returns kDataLoss
+/// unless state and next_state hold `state_dim` values and action holds
+/// `action_dim`: the agent that trains on a restored transition copies it
+/// into fixed-width batch rows.
 void SaveTransitionBinary(persist::Encoder& enc, const Transition& t);
-util::Status LoadTransitionBinary(persist::Decoder& dec, Transition* out);
+util::Status LoadTransitionBinary(persist::Decoder& dec, Transition* out,
+                                  size_t state_dim, size_t action_dim);
 
 /// A minibatch sampled from replay: item pointers stay valid until the next
 /// Add() call on the owning buffer.
@@ -59,9 +63,13 @@ class ReplayBuffer {
   /// cursor and (for prioritized replay) every priority, so a restored
   /// buffer returns the same batches for the same rng stream. LoadBinary
   /// must be called on a buffer constructed with the same type and
-  /// capacity; mismatches return kDataLoss.
+  /// capacity, and is given the transition shape of the agent it restores
+  /// for; mismatches, and a ring cursor no Add sequence could leave
+  /// (fewer than capacity items, but the cursor not at the end), return
+  /// kDataLoss.
   virtual void SaveBinary(persist::Encoder& enc) const = 0;
-  virtual util::Status LoadBinary(persist::Decoder& dec) = 0;
+  virtual util::Status LoadBinary(persist::Decoder& dec, size_t state_dim,
+                                  size_t action_dim) = 0;
 };
 
 /// Fixed-capacity ring buffer with uniform sampling.
@@ -74,7 +82,8 @@ class UniformReplay : public ReplayBuffer {
   size_t size() const override { return items_.size(); }
   size_t capacity() const override { return capacity_; }
   void SaveBinary(persist::Encoder& enc) const override;
-  util::Status LoadBinary(persist::Decoder& dec) override;
+  util::Status LoadBinary(persist::Decoder& dec, size_t state_dim,
+                          size_t action_dim) override;
 
  private:
   size_t capacity_;
@@ -85,7 +94,9 @@ class UniformReplay : public ReplayBuffer {
 /// Proportional prioritized experience replay (Schaul et al. [38], cited in
 /// Section 5.1 as doubling convergence speed). Priorities are |TD error| ^
 /// alpha over a sum-tree; Sample returns importance weights
-/// (N * P(i))^-beta normalized by the batch max.
+/// (N * P(i))^-beta normalized by the batch max. Like UniformReplay, the
+/// ring reserves its capacity and grows by push_back until full, so an
+/// agent pays only for the transitions it holds.
 class PrioritizedReplay : public ReplayBuffer {
  public:
   PrioritizedReplay(size_t capacity, double alpha = 0.6, double beta = 0.4);
@@ -97,7 +108,8 @@ class PrioritizedReplay : public ReplayBuffer {
   size_t size() const override { return size_; }
   size_t capacity() const override { return capacity_; }
   void SaveBinary(persist::Encoder& enc) const override;
-  util::Status LoadBinary(persist::Decoder& dec) override;
+  util::Status LoadBinary(persist::Decoder& dec, size_t state_dim,
+                          size_t action_dim) override;
 
   /// Anneals beta toward 1 as training progresses.
   void set_beta(double beta) { beta_ = beta; }
@@ -126,7 +138,7 @@ class PrioritizedReplay : public ReplayBuffer {
   double beta_;
   double max_priority_ = 1.0;
   size_t next_ = 0;
-  size_t size_ = 0;
+  size_t size_ = 0;  // == items_.size()
   std::vector<Transition> items_;
   /// Binary sum-tree: tree_[1] is the root; leaves start at capacity_
   /// (capacity_ rounded up to a power of two).

@@ -787,7 +787,8 @@ util::StatusOr<RestoreReport> TuningServer::RestoreCheckpoint(
         file.Decode("agent/options", [&](persist::Decoder& dec) {
           return rl::LoadDdpgOptionsBinary(dec, &agent_options);
         }));
-    auto staged_agent = std::make_unique<rl::DdpgAgent>(agent_options);
+    auto staged_agent =
+        std::make_unique<rl::DdpgAgent>(agent_options, rl::kRestoreTarget);
     CDBTUNE_RETURN_IF_ERROR(staged_agent->RestoreFromChunks(file));
 
     tuner::MetricsCollector staged_collector;
@@ -804,7 +805,8 @@ util::StatusOr<RestoreReport> TuningServer::RestoreCheckpoint(
                                              options_.shard_capacity);
     CDBTUNE_RETURN_IF_ERROR(
         file.Decode("server/pool", [&](persist::Decoder& dec) {
-          return staged_pool.LoadBinary(dec);
+          return staged_pool.LoadBinary(dec, agent_options.state_dim,
+                                        agent_options.action_dim);
         }));
 
     int64_t next_id = 0;

@@ -113,7 +113,8 @@ util::Status CdbTuner::LoadModel(const std::string& path) {
   const persist::ChunkFile& file = *parsed;
   // Decode into scratch state and swap only once all of it is valid, so a
   // corrupt or foreign file leaves this tuner exactly as it was.
-  auto agent = std::make_unique<rl::DdpgAgent>(options_.ddpg);
+  auto agent =
+      std::make_unique<rl::DdpgAgent>(options_.ddpg, rl::kRestoreTarget);
   CDBTUNE_RETURN_IF_ERROR(agent->RestoreFromChunks(file));
   MetricsCollector collector;
   double best_score = 0.0;

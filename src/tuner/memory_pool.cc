@@ -15,9 +15,11 @@ void SaveExperienceBinary(persist::Encoder& enc, const Experience& e) {
   enc.WriteDouble(e.latency);
 }
 
-util::Status LoadExperienceBinary(persist::Decoder& dec, Experience* out) {
+util::Status LoadExperienceBinary(persist::Decoder& dec, Experience* out,
+                                  size_t state_dim, size_t action_dim) {
   Experience e;
-  CDBTUNE_RETURN_IF_ERROR(rl::LoadTransitionBinary(dec, &e.transition));
+  CDBTUNE_RETURN_IF_ERROR(
+      rl::LoadTransitionBinary(dec, &e.transition, state_dim, action_dim));
   if (!dec.ReadString(&e.workload_name) || !dec.ReadString(&e.instance_name) ||
       !dec.ReadBool(&e.from_user_request) || !dec.ReadDouble(&e.throughput) ||
       !dec.ReadDouble(&e.latency)) {
@@ -123,7 +125,9 @@ void ShardedExperiencePool::SaveBinary(persist::Encoder& enc) const {
   }
 }
 
-util::Status ShardedExperiencePool::LoadBinary(persist::Decoder& dec) {
+util::Status ShardedExperiencePool::LoadBinary(persist::Decoder& dec,
+                                               size_t state_dim,
+                                               size_t action_dim) {
   uint64_t num_shards = 0, capacity = 0;
   if (!dec.ReadU64(&num_shards) || !dec.ReadU64(&capacity)) {
     return dec.status();
@@ -147,8 +151,8 @@ util::Status ShardedExperiencePool::LoadBinary(persist::Decoder& dec) {
     }
     uint64_t first = s.added < capacity_ ? 0 : s.added - capacity_;
     for (uint64_t seq = first; seq < s.added; ++seq) {
-      CDBTUNE_RETURN_IF_ERROR(
-          LoadExperienceBinary(dec, &s.ring[seq % capacity_]));
+      CDBTUNE_RETURN_IF_ERROR(LoadExperienceBinary(
+          dec, &s.ring[seq % capacity_], state_dim, action_dim));
     }
   }
   shards_ = std::move(staged);

@@ -25,9 +25,11 @@ struct Experience {
   double latency = 0.0;
 };
 
-/// Bit-exact Experience codec used by the pool checkpoints.
+/// Bit-exact Experience codec used by the pool checkpoints. The load
+/// checks the transition's shape (rl::LoadTransitionBinary).
 void SaveExperienceBinary(persist::Encoder& enc, const Experience& e);
-util::Status LoadExperienceBinary(persist::Decoder& dec, Experience* out);
+util::Status LoadExperienceBinary(persist::Decoder& dec, Experience* out,
+                                  size_t state_dim, size_t action_dim);
 
 /// Append-only experience store that outlives individual agents. The DDPG
 /// agent keeps its own sampling structure (sum-tree); the pool is the
@@ -102,9 +104,11 @@ class ShardedExperiencePool {
   /// Bit-exact checkpoint round-trip of every shard: retained ring window,
   /// cursors and drop counters. Barrier-only, like the other readers.
   /// LoadBinary requires an identically-shaped pool (same shard count and
-  /// capacity) and restores every shard or none.
+  /// capacity) and experiences shaped for the agent the pool feeds
+  /// (`state_dim`, `action_dim`), and restores every shard or none.
   void SaveBinary(persist::Encoder& enc) const;
-  util::Status LoadBinary(persist::Decoder& dec);
+  util::Status LoadBinary(persist::Decoder& dec, size_t state_dim,
+                          size_t action_dim);
 
  private:
   /// One tenant's ring. alignas keeps concurrent writers of neighboring

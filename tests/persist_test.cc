@@ -2,7 +2,9 @@
 // the byte codec, CRC-guarded chunk container, torn-write detection at every
 // byte offset, generation fallback, full-agent resume equivalence, and the
 // all-or-nothing model file behind CdbTuner::SaveModel/LoadModel.
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -52,6 +54,40 @@ TEST(Crc32Test, ExtendMatchesOneShot) {
   uint32_t crc = kCrc32Init;
   for (char c : data) crc = Crc32Extend(crc, &c, 1);
   EXPECT_EQ(crc, Crc32(data));
+}
+
+/// The CRC one bit at a time, straight from the polynomial: the reference
+/// the table-driven Crc32 must reproduce.
+uint32_t BitwiseCrc32(const unsigned char* data, size_t size) {
+  uint32_t c = 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) {
+    c ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1u) ? (c >> 1) ^ 0xEDB88320u : c >> 1;
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceAtAnyLengthOffsetAndSplit) {
+  util::Rng rng(2027);
+  std::vector<unsigned char> buffer(4096 + 8);
+  for (unsigned char& b : buffer) {
+    b = static_cast<unsigned char>(rng.UniformInt(0, 255));
+  }
+  for (int trial = 0; trial < 300; ++trial) {
+    const size_t offset = static_cast<size_t>(rng.UniformInt(0, 7));
+    const size_t length = static_cast<size_t>(rng.UniformInt(0, 4096));
+    const size_t split = static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(length)));
+    const unsigned char* data = buffer.data() + offset;
+    const uint32_t expect = BitwiseCrc32(data, length);
+    EXPECT_EQ(Crc32(data, length), expect)
+        << "offset " << offset << " length " << length;
+    const uint32_t head = Crc32Extend(kCrc32Init, data, split);
+    EXPECT_EQ(Crc32Extend(head, data + split, length - split), expect)
+        << "offset " << offset << " length " << length << " split " << split;
+  }
 }
 
 TEST(Crc32Test, SensitiveToEveryBit) {
@@ -150,6 +186,64 @@ TEST(EncodingTest, DoubleVecGuardsImplausibleLength) {
   Decoder dec(enc.bytes());
   std::vector<double> vec;
   EXPECT_FALSE(dec.ReadDoubleVec(&vec));
+}
+
+/// Doubles whose bits a value-level round trip could lose: NaNs with
+/// payloads (quiet, signalling, negative), signed zeros, infinities and
+/// denormals.
+std::vector<double> AwkwardDoubles() {
+  std::vector<double> values;
+  for (uint64_t bits :
+       {0x7FF8000000000123ULL, 0x7FF0000000000001ULL, 0xFFF80000DEADBEEFULL,
+        0x8000000000000000ULL, 0x0000000000000000ULL, 0x7FF0000000000000ULL,
+        0xFFF0000000000000ULL, 0x0000000000000001ULL, 0x800FFFFFFFFFFFFFULL,
+        0x0010000000000000ULL, 0x3FF0000000000000ULL}) {
+    values.push_back(std::bit_cast<double>(bits));
+  }
+  return values;
+}
+
+TEST(EncodingTest, BulkDoublesMatchPerElementBytes) {
+  const std::vector<double> values = AwkwardDoubles();
+  Encoder bulk, single;
+  bulk.WriteDoubles(values.data(), values.size());
+  for (double v : values) single.WriteDouble(v);
+  EXPECT_EQ(bulk.bytes(), single.bytes());
+
+  std::vector<double> read(values.size());
+  Decoder dec(single.bytes());
+  ASSERT_TRUE(dec.ReadDoubles(read.data(), read.size()));
+  EXPECT_TRUE(dec.Done());
+  for (size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(read[i]),
+              std::bit_cast<uint64_t>(values[i]))
+        << "element " << i;
+  }
+
+  Encoder vec;
+  vec.WriteDoubleVec(values);
+  Encoder per_element;
+  per_element.WriteU64(values.size());
+  for (double v : values) per_element.WriteDouble(v);
+  EXPECT_EQ(vec.bytes(), per_element.bytes());
+}
+
+TEST(EncodingTest, ReadDoublesRefusesImpossibleCountStickily) {
+  Encoder enc;
+  enc.WriteDouble(1.5);
+  enc.WriteDouble(2.5);
+  // 2^61 doubles are 2^64 bytes: a count check done in bytes would wrap
+  // to 0 and pass.
+  for (size_t count : {size_t{3}, size_t{1} << 61, SIZE_MAX / 4, SIZE_MAX}) {
+    Decoder dec(enc.bytes());
+    std::vector<double> out(4, -1.0);
+    EXPECT_FALSE(dec.ReadDoubles(out.data(), count)) << count;
+    EXPECT_EQ(out, std::vector<double>(4, -1.0)) << "output touched";
+    EXPECT_EQ(dec.status().code(), util::StatusCode::kDataLoss);
+    double d = 0.0;
+    EXPECT_FALSE(dec.ReadDouble(&d)) << "error is not sticky";
+    EXPECT_FALSE(dec.ReadDoubles(out.data(), 0)) << "error is not sticky";
+  }
 }
 
 // --- Chunk container ---------------------------------------------------------
@@ -271,6 +365,21 @@ TEST(AtomicFileTest, WriteReadRoundTrip) {
   auto read = ReadFile(path);
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(*read, payload);
+  std::remove(path.c_str());
+}
+
+TEST(AtomicFileTest, ReadsEmptyAndMultiBlockFiles) {
+  const std::string path = TempPath("atomic_sizes");
+  util::Rng rng(3);
+  for (size_t size : {size_t{0}, size_t{1}, (size_t{1} << 16) + 3,
+                      size_t{1} << 20}) {
+    std::string payload(size, '\0');
+    for (char& c : payload) c = static_cast<char>(rng.UniformInt(0, 255));
+    ASSERT_TRUE(AtomicWriteFile(path, payload).ok());
+    auto read = ReadFile(path);
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    EXPECT_EQ(*read, payload) << size << " bytes";
+  }
   std::remove(path.c_str());
 }
 
@@ -405,6 +514,14 @@ rl::Transition RandomTransition(util::Rng& rng) {
   return t;
 }
 
+/// An agent to restore into: a drawn one, or the draw-free restore target.
+std::unique_ptr<rl::DdpgAgent> RestoreInto(bool draw_free) {
+  if (draw_free) {
+    return std::make_unique<rl::DdpgAgent>(SmallDdpg(), rl::kRestoreTarget);
+  }
+  return std::make_unique<rl::DdpgAgent>(SmallDdpg());
+}
+
 std::string SerializeAgent(const rl::DdpgAgent& agent) {
   ChunkWriter writer;
   agent.AppendChunks(writer);
@@ -443,15 +560,20 @@ void ExpectResumeEquivalence(size_t threads) {
   Drive(live, env_rng, extra);
   const std::string uninterrupted = SerializeAgent(live);
 
-  rl::DdpgAgent resumed(SmallDdpg());
-  ASSERT_TRUE(resumed.RestoreFromChunks(MustParse(checkpoint)).ok());
-  util::Rng env_rng2(0);
-  ASSERT_TRUE(env_rng2.RestoreState(env_state));
-  Drive(resumed, env_rng2, extra);
-  const std::string after_restore = SerializeAgent(resumed);
+  // Restore into a drawn agent and into the draw-free restore target; both
+  // must resume bitwise.
+  for (bool draw_free : {false, true}) {
+    SCOPED_TRACE(draw_free ? "restore target" : "drawn agent");
+    auto resumed = RestoreInto(draw_free);
+    ASSERT_TRUE(resumed->RestoreFromChunks(MustParse(checkpoint)).ok());
+    util::Rng env_rng2(0);
+    ASSERT_TRUE(env_rng2.RestoreState(env_state));
+    Drive(*resumed, env_rng2, extra);
+    const std::string after_restore = SerializeAgent(*resumed);
 
-  EXPECT_EQ(uninterrupted, after_restore)
-      << "restored agent diverged from the uninterrupted one";
+    EXPECT_EQ(uninterrupted, after_restore)
+        << "restored agent diverged from the uninterrupted one";
+  }
   util::ComputeContext::Get().SetThreads(0);
 }
 
@@ -472,10 +594,13 @@ TEST(AgentCheckpointTest, SaveCapturesTargetsOptimizerNoiseAndReplay) {
   Drive(agent, env_rng, 30);
   const std::string first = SerializeAgent(agent);
 
-  rl::DdpgAgent loaded(SmallDdpg());
-  ASSERT_TRUE(loaded.RestoreFromChunks(MustParse(first)).ok());
-  EXPECT_EQ(SerializeAgent(loaded), first);
-  EXPECT_EQ(loaded.replay_size(), agent.replay_size());
+  for (bool draw_free : {false, true}) {
+    SCOPED_TRACE(draw_free ? "restore target" : "drawn agent");
+    auto loaded = RestoreInto(draw_free);
+    ASSERT_TRUE(loaded->RestoreFromChunks(MustParse(first)).ok());
+    EXPECT_EQ(SerializeAgent(*loaded), first);
+    EXPECT_EQ(loaded->replay_size(), agent.replay_size());
+  }
 }
 
 TEST(AgentCheckpointTest, OptionsMismatchIsRejectedBeforeAnyMutation) {
@@ -520,6 +645,79 @@ TEST(AgentCheckpointTest, TruncatedOrGarbageChunkPayloadsFailCleanly) {
           << "B) restored successfully";
     }
   }
+}
+
+// Well-formed, CRC-valid agent checkpoints that the agent cannot use. Each
+// used to pass RestoreFromChunks or crash it:
+//  - a replayed transition whose state, action or next_state is not the
+//    agent's width (a 4000-double state overflowed the next TrainStep's
+//    batch copy);
+//  - agent/actor's first matrix header claiming 2^61 or 2^61 + 1 columns
+//    (a SIGFPE and a std::length_error in the decoder);
+//  - a replay ring holding fewer items than its capacity whose cursor is
+//    not at the end, which no sequence of Adds leaves behind.
+// Every one must be DATA_LOSS.
+TEST(AgentCheckpointTest, TargetedMutantsAreDataLoss) {
+  const rl::DdpgOptions options = SmallDdpg();
+  rl::DdpgAgent agent(options);
+  util::Rng env_rng(7);
+  Drive(agent, env_rng, 12);
+  const ChunkFile file = MustParse(SerializeAgent(agent));
+  auto expect_data_loss = [&](const std::string& name,
+                              const std::string& payload,
+                              const std::string& what) {
+    rl::DdpgAgent scratch(options, rl::kRestoreTarget);
+    util::Status restored = scratch.RestoreFromChunks(
+        MustParse(tests::RebuildWithPayload(file, name, payload)));
+    EXPECT_EQ(restored.code(), util::StatusCode::kDataLoss)
+        << what << ": " << restored.ToString();
+  };
+
+  util::Rng rng(11);
+  const std::vector<std::pair<std::string, void (*)(rl::Transition&)>>
+      reshapes = {
+          {"4000-double state", [](rl::Transition& t) { t.state.resize(4000); }},
+          {"short action", [](rl::Transition& t) { t.action.pop_back(); }},
+          {"long next_state",
+           [](rl::Transition& t) { t.next_state.push_back(0.0); }},
+      };
+  for (const auto& [what, reshape] : reshapes) {
+    rl::PrioritizedReplay replay(options.replay_capacity);
+    rl::Transition t = RandomTransition(rng);
+    reshape(t);
+    replay.Add(t);
+    Encoder enc;
+    replay.SaveBinary(enc);
+    expect_data_loss("agent/replay", enc.bytes(), what);
+  }
+
+  const std::string actor(*file.Get("agent/actor"));
+  Encoder first_header;
+  first_header.WriteString("Linear");
+  first_header.WriteU64(options.state_dim);
+  first_header.WriteU64(options.actor_hidden[0]);
+  for (uint64_t cols : {uint64_t{1} << 61, (uint64_t{1} << 61) + 1}) {
+    Encoder mutated;
+    mutated.WriteString("Linear");
+    mutated.WriteU64(options.state_dim);
+    mutated.WriteU64(cols);
+    expect_data_loss(
+        "agent/actor",
+        tests::ReplaceOnce(actor, first_header.bytes(), mutated.bytes()),
+        "actor header with " + std::to_string(cols) + " columns");
+  }
+
+  // 12 transitions in a 64-slot ring: next and size are both 12.
+  const std::string replay(*file.Get("agent/replay"));
+  Encoder cursor, moved_cursor;
+  cursor.WriteU64(12);
+  cursor.WriteU64(12);
+  moved_cursor.WriteU64(5);
+  moved_cursor.WriteU64(12);
+  expect_data_loss(
+      "agent/replay",
+      tests::ReplaceOnce(replay, cursor.bytes(), moved_cursor.bytes()),
+      "replay cursor inside an unfilled ring");
 }
 
 // --- Model files (CdbTuner::SaveModel / LoadModel) ---------------------------

@@ -866,7 +866,8 @@ std::string MetaPayload(int64_t next_id, uint64_t rounds,
 // a re-CRC'd container, plus well-formed chunks the server cannot use:
 // server/model_meta with collector statistics of the wrong dimension or a
 // best action of length 3, session specs and agent options out of range,
-// and session ids outside [0, next_id).
+// session ids outside [0, next_id), and a pool experience whose state is
+// not the agent's width.
 // Each must fail RestoreCheckpoint with a Status rather than abort — then
 // or at a later ROUND — and leave the target without sessions or model;
 // afterwards the same target restores the good checkpoint and steps.
@@ -976,6 +977,24 @@ TEST(CheckpointTest, TruncatedOrGarbageChunkPayloadsFailCleanly) {
     persist::Encoder encoded;
     rl::SaveDdpgOptionsBinary(encoded, options);
     EXPECT_EQ(restore_mutant("agent/options", encoded.bytes()),
+              util::StatusCode::kDataLoss);
+  }
+
+  // An unmerged pool experience with a 5-double state restored, and the
+  // next TRAIN aborted on the agent's shape CHECK when the merge fed it in.
+  {
+    const rl::DdpgOptions& agent = model.agent().options();
+    const TuningServerOptions defaults;
+    tuner::ShardedExperiencePool pool(defaults.max_sessions,
+                                      defaults.shard_capacity);
+    tuner::Experience misshapen;
+    misshapen.transition.state.assign(5, 0.5);
+    misshapen.transition.action.assign(agent.action_dim, 0.5);
+    misshapen.transition.next_state.assign(agent.state_dim, 0.5);
+    pool.Add(0, misshapen);
+    persist::Encoder encoded;
+    pool.SaveBinary(encoded);
+    EXPECT_EQ(restore_mutant("server/pool", encoded.bytes()),
               util::StatusCode::kDataLoss);
   }
 

@@ -44,4 +44,15 @@ util::Status LoadDynamicBinary(persist::Decoder& dec, PackedState* s) {
   return util::Status::Ok();
 }
 
+// schema-asymmetry: WriteDoubles moves a whole array, but the reader takes
+// one double back.
+void SaveWeightsBinary(persist::Encoder& enc, const double* w, size_t n) {
+  enc.WriteDoubles(w, n);
+}
+
+util::Status LoadWeightsBinary(persist::Decoder& dec, double* w) {
+  if (!dec.ReadDouble(w)) return dec.status();
+  return util::Status::Ok();
+}
+
 }  // namespace cdbtune::rl

@@ -4,6 +4,7 @@
 // --include-suppressed). Never compiled — scanned only.
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace cdbtune::rl {
 
@@ -45,6 +46,32 @@ void SaveDynamicBinary(persist::Encoder& enc, const PackedState& s) {
 
 util::Status LoadDynamicBinary(persist::Decoder& dec, PackedState* s) {
   if (!dec.ReadDouble(&s->bias)) return dec.status();
+  return util::Status::Ok();
+}
+
+// Bulk doubles pair with the per-element loop they replace: the writer's
+// WriteDoubles and the reader's ReadDouble loop both extract as
+// repeat{f64}.
+void SaveSamplesBinary(persist::Encoder& enc, const std::vector<double>& v) {
+  enc.WriteU64(v.size());
+  enc.WriteDoubles(v.data(), v.size());
+}
+
+util::Status LoadSamplesBinary(persist::Decoder& dec, std::vector<double>* v) {
+  uint64_t n = 0;
+  if (!dec.ReadU64(&n)) return dec.status();
+  for (uint64_t i = 0; i < n; ++i) {
+    if (!dec.ReadDouble(&(*v)[i])) return dec.status();
+  }
+  return util::Status::Ok();
+}
+
+void SaveWeightsBinary(persist::Encoder& enc, const double* w, size_t n) {
+  enc.WriteDoubles(w, n);
+}
+
+util::Status LoadWeightsBinary(persist::Decoder& dec, double* w, size_t n) {
+  if (!dec.ReadDoubles(w, n)) return dec.status();
   return util::Status::Ok();
 }
 

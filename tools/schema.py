@@ -99,6 +99,11 @@ READ_TYPES = {
     "ReadU64": "u64", "ReadI64": "i64", "ReadDouble": "f64",
     "ReadString": "str", "ReadDoubleVec": "f64vec",
 }
+# Bulk primitives `WriteDoubles(p, n)` / `ReadDoubles(p, n)`: the same bytes
+# as the per-element loop they replace, so they extract as that loop,
+# `repeat{f64 p[i]}`, and pair with it.
+BULK_WRITE_TYPES = {"WriteDoubles": "f64"}
+BULK_READ_TYPES = {"ReadDoubles": "f64"}
 
 # Methods on role objects that move no schema bytes (or whose bytes are the
 # container framing, owned by src/persist itself).
@@ -822,6 +827,18 @@ class Extractor:
         if role == "dec" and member in READ_TYPES:
             sink.append(Op("field", line, type=READ_TYPES[member],
                            name=render_toks(args)))
+            return
+        bulk = (BULK_WRITE_TYPES if role == "enc" else
+                BULK_READ_TYPES if role == "dec" else {})
+        if member in bulk:
+            parts = split_top(args, ",")
+            if len(parts) != 2:
+                self.report(line, "schema-unextractable",
+                            f".{member}() with an unexpected arg shape")
+                return
+            element = Op("field", line, type=bulk[member],
+                         name=f"{render_toks(parts[0])}[i]")
+            sink.append(Op("repeat", line, body=[element]))
             return
         if role == "enc" and member == "AppendRaw":
             parts = split_top(args, ",")
